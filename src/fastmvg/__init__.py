@@ -41,7 +41,7 @@ from .horseshoe import (
     update_sigma2,
     update_tau,
 )
-from .linalg import SpdFactor, cholesky, gemm, gemv, solve_lower, solve_spd
+from .linalg import SpdFactor, cholesky, solve_lower, solve_spd
 from .rng import RngStream, derive_seed
 from .structured import (
     AugmentedDraw,
@@ -83,8 +83,6 @@ __all__ = [
     "compute_metrics",
     "derive_seed",
     "fast_sample",
-    "gemm",
-    "gemv",
     "gen_design",
     "log_density",
     "posterior_mean",

@@ -121,8 +121,6 @@ def cmd_sample(args) -> int:
     elif d.shape == (p, p):
         try:
             scale = DenseSpdScale.from_matrix(d)
-        except NotPositiveDefinite:
-            raise
         except ValueError as exc:  # asymmetric or otherwise malformed matrix
             raise CliInputError(f"{args.d_csv}: {exc}") from exc
     else:

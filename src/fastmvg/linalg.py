@@ -76,10 +76,10 @@ def cholesky(a: np.ndarray, *, check_symmetric: bool = True,
     moderate dimension.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
     if check_symmetric:
-        scale = np.max(np.abs(a)) if a.size else 0.0
+        scale = np.max(np.abs(a))
         if scale > 0.0 and np.max(np.abs(a - a.T)) > 1e-10 * scale:
             raise ValueError("matrix is not symmetric within tolerance")
     if pivot_floor:  # taken before overwrite_a lets LAPACK destroy a
@@ -111,25 +111,3 @@ def solve_lower(factor: SpdFactor, b: np.ndarray, *, transpose: bool = False) ->
                             trans=int(transpose))
     _check_info("dtrtrs", info)
     return x
-
-
-def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense matrix-matrix product with dimension checking."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionMismatch("gemm expects two matrices")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def gemv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Dense matrix-vector product with dimension checking."""
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if a.ndim != 2 or x.ndim != 1:
-        raise DimensionMismatch("gemv expects a matrix and a vector")
-    if a.shape[1] != x.shape[0]:
-        raise DimensionMismatch(f"inner dimensions differ: {a.shape} x {x.shape}")
-    return a @ x

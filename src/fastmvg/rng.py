@@ -64,12 +64,6 @@ class RngStream:
             )
         return float(self._gen.gamma(shape, 1.0 / rate))
 
-    def gamma_vector(self, shape: float, size: int) -> np.ndarray:
-        """size draws from Gamma(shape, rate=1)."""
-        if not shape > 0.0:
-            raise InvalidParameter(f"gamma requires shape > 0, got {shape}")
-        return self._gen.gamma(shape, 1.0, size=int(size))
-
     def exponential(self, rate: float) -> float:
         """One Exponential(rate) draw."""
         if not rate > 0.0:

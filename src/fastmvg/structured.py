@@ -11,6 +11,13 @@ dense D):
     (iii) solve (Phi D Phi' + I_n) w = alpha - v
     (iv)  theta = u + D Phi' w
 
+Steps (iii) and (iv) need Phi D and the Cholesky factor of
+Phi D Phi' + I_n.  An instance builds both the first time
+``fast_sample``, ``posterior_mean`` or ``log_density`` asks for them
+and keeps them, so for diagonal D every later draw costs O(np) and the
+mean and density are solves against the kept factor.  The instance's
+arrays must therefore not be mutated after construction.
+
 ``baseline_sample`` draws from the same distribution by forming the
 p x p precision matrix and factoring it at every call, which is the
 O(p^3) reference method the fast path is benchmarked against.
@@ -123,7 +130,14 @@ ScaleStructure = DiagonalScale | DenseSpdScale
 
 @dataclass(frozen=True)
 class StructuredGaussian:
-    """Problem instance (phi, D, alpha); immutable and safe to share."""
+    """Problem instance (phi, D, alpha) and, once used, its n x n factor.
+
+    The factor of Phi D Phi' + I_n is built on first use and kept, so
+    repeated draws, the mean and the density on one instance share it.
+    Do not mutate phi, alpha or the scale's arrays after construction:
+    the kept factor would no longer match them.  A changed D needs a
+    new instance (``dataclasses.replace`` gives one with no factor).
+    """
 
     phi: np.ndarray
     scale: ScaleStructure
@@ -160,6 +174,29 @@ class StructuredGaussian:
     def p(self) -> int:
         return self.phi.shape[1]
 
+    @property
+    def _coupling(self) -> tuple[np.ndarray, SpdFactor]:
+        """Phi D and the factored n x n system matrix Phi D Phi' + I_n.
+
+        Built on first use and kept in the instance dict.  Threads that
+        race on a new instance may each build it; the builds are equal,
+        so whichever is kept is correct.  Not a functools.cached_property:
+        before Python 3.12 that holds one lock for all instances, which
+        serializes the builds of separate instances on separate threads.
+        """
+        coupling = self.__dict__.get("_coupling_cache")
+        if coupling is None:
+            phi_d = self.scale.phi_times_scale(self.phi)
+            m = phi_d @ self.phi.T
+            m.flat[:: self.n + 1] += 1.0
+            # SPD with eigenvalues >= 1 by construction: skip the symmetry
+            # scan and the trace-relative pivot floor, which misfires for
+            # large D.
+            coupling = phi_d, cholesky(m, check_symmetric=False, pivot_floor=False,
+                                       overwrite_a=True)
+            self.__dict__["_coupling_cache"] = coupling  # frozen: bypass __setattr__
+        return coupling
+
 
 @dataclass(frozen=True)
 class AugmentedDraw:
@@ -177,27 +214,18 @@ class AugmentedDraw:
     theta: np.ndarray
 
 
-def _coupling_system(g: StructuredGaussian):
-    """Phi D and the factored n x n system matrix Phi D Phi' + I_n."""
-    phi_d = g.scale.phi_times_scale(g.phi)
-    m = phi_d @ g.phi.T
-    m.flat[:: g.n + 1] += 1.0
-    # SPD with eigenvalues >= 1 by construction: skip the symmetry scan
-    # and the trace-relative pivot floor, which misfires for large D.
-    return phi_d, cholesky(m, check_symmetric=False, pivot_floor=False, overwrite_a=True)
-
-
 def fast_sample(g: StructuredGaussian, rng: RngStream) -> AugmentedDraw:
     """One exact draw from N(mu, Sigma) via the n x n augmented system.
 
-    Consumes p standard normals for u, then n for delta.  Cost is
-    dominated by one n x p by p x n product, so it grows linearly in p
-    for diagonal D.
+    Consumes p standard normals for u, then n for delta.  The first draw
+    (or mean, or density) on an instance builds its n x n system, whose
+    n x p by p x n product dominates the cost and grows linearly in p
+    for diagonal D; later draws on the same instance cost O(np).
     """
     u = g.scale.sample_zero_mean(rng)
     delta = rng.standard_normal(g.n)
     v = g.phi @ u + delta
-    phi_d, factor = _coupling_system(g)
+    phi_d, factor = g._coupling
     w = solve_spd(factor, g.alpha - v)
     theta = u + w @ phi_d
     return AugmentedDraw(u=u, delta=delta, v=v, w=w, theta=theta)
@@ -205,7 +233,7 @@ def fast_sample(g: StructuredGaussian, rng: RngStream) -> AugmentedDraw:
 
 def posterior_mean(g: StructuredGaussian) -> np.ndarray:
     """mu = D Phi' (Phi D Phi' + I)^-1 alpha, the u = delta = 0 case."""
-    phi_d, factor = _coupling_system(g)
+    phi_d, factor = g._coupling
     w = solve_spd(factor, g.alpha)
     return w @ phi_d
 
@@ -239,7 +267,7 @@ def log_density(g: StructuredGaussian, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (g.p,):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({g.p},)")
-    _, factor = _coupling_system(g)
+    _, factor = g._coupling
     log_det_prec = -g.scale.log_det + factor.log_det
     phi_x = g.phi @ x
     quad_x = float(np.dot(phi_x, phi_x)) + g.scale.inv_quad(x)

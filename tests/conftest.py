@@ -45,21 +45,6 @@ class QueuedStream:
         return float(v)
 
 
-def naive_gemm(a, b):
-    """Triple-loop matrix product."""
-    r, inner = a.shape
-    inner2, c = b.shape
-    assert inner == inner2
-    out = np.zeros((r, c))
-    for i in range(r):
-        for j in range(c):
-            acc = 0.0
-            for k in range(inner):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
 def gauss_solve(a, b):
     """Dense Gaussian elimination with partial pivoting."""
     a = np.array(a, dtype=float)

@@ -139,6 +139,8 @@ class TestRunReplicates:
         seq = run_replicates(design, self.CFG, threads=1)
         par = run_replicates(design, self.CFG, threads=3)
         assert seq.aggregate == par.aggregate
+        with pytest.raises(ConfigError):
+            run_replicates(design, self.CFG, threads=0)
 
     def test_aggregate_contains_all_metrics(self):
         design = SimDesign(n=25, p=15, n_replicates=2, sigma=1.0)

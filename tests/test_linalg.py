@@ -5,14 +5,12 @@ from fastmvg import (
     DimensionMismatch,
     NotPositiveDefinite,
     cholesky,
-    gemm,
-    gemv,
     solve_lower,
     solve_spd,
 )
 from fastmvg.linalg import _check_info
 
-from conftest import gauss_solve, naive_gemm
+from conftest import gauss_solve
 
 
 class TestCholesky:
@@ -73,6 +71,8 @@ class TestCholesky:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
             cholesky(np.ones((2, 3)))
+        with pytest.raises(DimensionMismatch):
+            cholesky(np.zeros((0, 0)))
 
 
 class TestSolveSpd:
@@ -153,35 +153,3 @@ class TestSolveLower:
             solve_lower(f, np.ones(4))
         with pytest.raises(DimensionMismatch):
             solve_lower(f, np.ones((3, 2, 2)))
-
-
-class TestProducts:
-    def test_gemm_identity(self):
-        gen = np.random.default_rng(4)
-        b = gen.standard_normal((3, 5))
-        np.testing.assert_array_equal(gemm(np.eye(3), b), b)
-
-    def test_gemv_hand_computed(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(gemv(a, np.array([1.0, 1.0])), [3.0, 7.0])
-
-    def test_gemm_matches_naive_loops(self):
-        gen = np.random.default_rng(5)
-        a = gen.standard_normal((30, 40))
-        b = gen.standard_normal((40, 20))
-        np.testing.assert_allclose(gemm(a, b), naive_gemm(a, b), rtol=1e-12, atol=1e-12)
-
-    def test_gemm_associativity(self):
-        gen = np.random.default_rng(6)
-        for _ in range(10):
-            a, b, c = (gen.standard_normal((10, 10)) for _ in range(3))
-            left = gemm(gemm(a, b), c)
-            right = gemm(a, gemm(b, c))
-            scale = np.max(np.abs(left))
-            assert np.max(np.abs(left - right)) <= 5e-12 * scale
-
-    def test_dimension_checks(self):
-        with pytest.raises(DimensionMismatch):
-            gemm(np.ones((2, 3)), np.ones((2, 3)))
-        with pytest.raises(DimensionMismatch):
-            gemv(np.ones((2, 3)), np.ones(2))

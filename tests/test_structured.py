@@ -1,6 +1,11 @@
+import sys
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import fastmvg.structured as structured
 from fastmvg import (
     DenseSpdScale,
     DiagonalScale,
@@ -192,6 +197,70 @@ class TestLogDensity:
         g = random_instance(83, n=3, p=8)
         with pytest.raises(DimensionMismatch):
             log_density(g, np.zeros(5))
+
+
+class TestKeptFactor:
+    def test_one_factorization_per_instance(self, monkeypatch):
+        g = random_instance(85, n=4, p=9)
+        calls = []
+        real = structured.cholesky
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(structured, "cholesky", counting)
+        rng = RngStream(4, 0)
+        posterior_mean(g)
+        for _ in range(5):
+            log_density(g, fast_sample(g, rng).theta)
+        assert calls == [(4, 4)]
+        fast_sample(replace(g), rng)
+        assert calls == [(4, 4), (4, 4)]
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_draws_match_fresh_instances(self, dense):
+        # k draws on one instance equal, bit for bit, k draws that each
+        # rebuild the factor on a fresh copy from the same stream.
+        g = random_instance(86, n=4, p=9, dense=dense)
+        rng_kept, rng_fresh = RngStream(5, 0), RngStream(5, 0)
+        for _ in range(4):
+            kept = fast_sample(g, rng_kept)
+            fresh = fast_sample(replace(g), rng_fresh)
+            for name in ("u", "delta", "v", "w", "theta"):
+                np.testing.assert_array_equal(getattr(kept, name), getattr(fresh, name))
+        # With the factor kept, a draw still consumes p normals for u,
+        # then n for delta (QueuedStream checks each shape).
+        u = np.random.default_rng(3).standard_normal(9)
+        delta = np.random.default_rng(4).standard_normal(4)
+        draw = fast_sample(g, QueuedStream(normals=[u, delta]))
+        np.testing.assert_array_equal(draw.delta, delta)
+        np.testing.assert_allclose(draw.theta, woodbury_theta(g, draw.u, delta), rtol=1e-10)
+
+    def test_shared_instance_across_threads(self):
+        # Threads that race to build one instance's factor must each get
+        # the draws a single thread gets from the same stream.
+        g = random_instance(87, n=6, p=40)
+        expected = [fast_sample(replace(g), RngStream(9, k)).theta for k in range(8)]
+
+        def work(k):
+            got[k] = fast_sample(shared, RngStream(9, k)).theta
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                shared, got = replace(g), [None] * 8
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                for k in range(8):
+                    np.testing.assert_array_equal(got[k], expected[k])
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestBlockDecomposition:
