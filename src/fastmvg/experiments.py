@@ -162,9 +162,14 @@ def compute_metrics(result: ChainResult, beta0: np.ndarray, x: np.ndarray) -> Re
 
 @dataclass(frozen=True)
 class ReplicateRun:
-    """All replicate metrics plus mean and standard error per metric."""
+    """All replicate metrics plus mean and standard error per metric.
+
+    indices[k] is the replicate index of metrics[k]; a failed replicate
+    is in neither list, only in failures.
+    """
 
     metrics: list[ReplicateMetrics]
+    indices: list[int]
     aggregate: dict[str, tuple[float, float]]
     failures: list[tuple[int, str]]
 
@@ -191,6 +196,7 @@ def run_replicates(design: SimDesign, cfg: ChainConfig, threads: int = 1) -> Rep
     if threads < 1:
         raise ConfigError("threads must be >= 1")
     metrics: list[ReplicateMetrics] = []
+    indices: list[int] = []
     failures: list[tuple[int, str]] = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(_fit_replicate, design, cfg, i)
@@ -198,6 +204,7 @@ def run_replicates(design: SimDesign, cfg: ChainConfig, threads: int = 1) -> Rep
     for i, fut in enumerate(futures):
         try:
             metrics.append(fut.result())
+            indices.append(i)
         except Exception as exc:  # noqa: BLE001 - recorded, not fatal
             failures.append((i, f"{type(exc).__name__}: {exc}"))
     aggregate: dict[str, tuple[float, float]] = {}
@@ -206,14 +213,15 @@ def run_replicates(design: SimDesign, cfg: ChainConfig, threads: int = 1) -> Rep
             vals = np.array([getattr(m, name) for m in metrics])
             se = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
             aggregate[name] = (float(vals.mean()), se)
-    return ReplicateRun(metrics=metrics, aggregate=aggregate, failures=failures)
+    return ReplicateRun(metrics=metrics, indices=indices, aggregate=aggregate,
+                        failures=failures)
 
 
 def render_replicates_csv(run: ReplicateRun) -> str:
     """Per-replicate rows plus aggregate mean/SE rows as CSV text."""
     header = "row,replicate," + ",".join(METRIC_FIELDS)
     lines = [header]
-    for i, m in enumerate(run.metrics):
+    for i, m in zip(run.indices, run.metrics):
         vals = ",".join(format(getattr(m, name), ".17g") for name in METRIC_FIELDS)
         lines.append(f"replicate,{i},{vals}")
     if run.aggregate:

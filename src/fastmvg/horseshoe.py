@@ -7,8 +7,8 @@ Model: y = X beta + eps, eps ~ N(0, sigma^2 I), with
 
 and noise prior h(sigma^2) proportional to 1/sigma^2 (or sigma^2 held
 fixed via ChainConfig.fixed_sigma).  The beta block is drawn exactly
-through the structured-Gaussian fast sampler with phi = X/sigma,
-D = sigma^2 tau^2 diag(lambda^2), alpha = y/sigma; the scale blocks use
+as sigma times a structured-Gaussian fast-sampler draw with phi = X,
+D = tau^2 diag(lambda^2), alpha = y/sigma; the scale blocks use
 slice transitions in the inverse-square parameterization, where both
 conditionals reduce to truncated exponential/gamma draws with
 closed-form inversion.
@@ -136,13 +136,16 @@ def update_beta(state: HorseshoeState, data: RegressionData, rng: RngStream) -> 
     """Exact draw from beta | y, lambda, tau, sigma.
 
     The conditional is N(A^-1 X' y, sigma^2 A^-1) with
-    A = X' X + Lambda*^-1, Lambda* = tau^2 diag(lambda^2), a structured
-    Gaussian with phi = X/sigma, D = sigma^2 Lambda*, alpha = y/sigma.
+    A = X' X + Lambda*^-1, Lambda* = tau^2 diag(lambda^2): sigma times a
+    draw from the structured Gaussian phi = X, D = Lambda*,
+    alpha = y/sigma, whose mean is A^-1 X' y / sigma and covariance
+    A^-1.  sigma cancels from the n x n system X Lambda* X' + I, and
+    X is used as it is, with no n x p copy.
     """
     sigma = float(np.sqrt(state.sigma2))
-    d = state.sigma2 * state.tau**2 * (state.lam * state.lam)
-    g = StructuredGaussian(data.x / sigma, DiagonalScale(d), data.y / sigma)
-    return fast_sample(g, rng).theta
+    d = state.tau**2 * (state.lam * state.lam)
+    g = StructuredGaussian(data.x, DiagonalScale(d), data.y / sigma)
+    return sigma * fast_sample(g, rng).theta
 
 
 def update_lambda(state: HorseshoeState, rng: RngStream) -> np.ndarray:

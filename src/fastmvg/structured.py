@@ -11,12 +11,15 @@ dense D):
     (iii) solve (Phi D Phi' + I_n) w = alpha - v
     (iv)  theta = u + D Phi' w
 
-Steps (iii) and (iv) need Phi D and the Cholesky factor of
-Phi D Phi' + I_n.  An instance builds both the first time
-``fast_sample``, ``posterior_mean`` or ``log_density`` asks for them
-and keeps them, so for diagonal D every later draw costs O(np) and the
-mean and density are solves against the kept factor.  The instance's
-arrays must therefore not be mutated after construction.
+Step (iii) needs the Cholesky factor of M = Phi D Phi' + I_n.  An
+instance builds it the first time ``fast_sample``, ``posterior_mean``
+or ``log_density`` asks for it and keeps it, so for diagonal D every
+later draw costs O(np) and the mean and density are solves against the
+kept factor.  M is built as I_n + B B' with B = Phi D^{1/2} by one
+SYRK, which computes one triangle only; B is a temporary, and step (iv)
+forms D (Phi' w) as D times w' Phi, so an instance keeps no n x p array
+beyond ``phi``.  The instance's arrays must not be mutated after
+construction.
 
 ``baseline_sample`` draws from the same distribution by forming the
 p x p precision matrix and factoring it at every call, which is the
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import SpdFactor, cholesky, solve_lower, solve_spd
+from .linalg import SpdFactor, cholesky, solve_lower, solve_spd, syrk
 from .rng import RngStream
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -57,8 +60,12 @@ class DiagonalScale:
         return np.sqrt(self.d) * rng.standard_normal(self.dim)
 
     def phi_times_scale(self, phi: np.ndarray) -> np.ndarray:
-        # Row-scaling of Phi', kept as the n x p array Phi D: O(np).
-        return phi * self.d
+        """Phi D^{1/2}, a new n x p array B with B B' = Phi D Phi': O(np)."""
+        return phi * np.sqrt(self.d)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """D x."""
+        return self.d * x
 
     def inv_quad(self, x: np.ndarray) -> float:
         return float(np.dot(x, x / self.d))
@@ -110,8 +117,12 @@ class DenseSpdScale:
         return self.factor.lower @ rng.standard_normal(self.dim)
 
     def phi_times_scale(self, phi: np.ndarray) -> np.ndarray:
-        # Dense product Phi D: the O(np^2) worst-case term.
-        return phi @ self.matrix
+        """Phi L for D = L L', so B B' = Phi D Phi': the O(np^2) worst-case term."""
+        return phi @ self.factor.lower
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """D x."""
+        return self.matrix @ x
 
     def inv_quad(self, x: np.ndarray) -> float:
         y = solve_lower(self.factor, x)
@@ -175,8 +186,8 @@ class StructuredGaussian:
         return self.phi.shape[1]
 
     @property
-    def _coupling(self) -> tuple[np.ndarray, SpdFactor]:
-        """Phi D and the factored n x n system matrix Phi D Phi' + I_n.
+    def _coupling(self) -> SpdFactor:
+        """The factor of the n x n system matrix M = Phi D Phi' + I_n.
 
         Built on first use and kept in the instance dict.  Threads that
         race on a new instance may each build it; the builds are equal,
@@ -184,18 +195,18 @@ class StructuredGaussian:
         before Python 3.12 that holds one lock for all instances, which
         serializes the builds of separate instances on separate threads.
         """
-        coupling = self.__dict__.get("_coupling_cache")
-        if coupling is None:
-            phi_d = self.scale.phi_times_scale(self.phi)
-            m = phi_d @ self.phi.T
+        factor = self.__dict__.get("_coupling_cache")
+        if factor is None:
+            # M = I + B B' for B = Phi D^{1/2}, upper triangle only.
+            m = syrk(self.scale.phi_times_scale(self.phi))
             m.flat[:: self.n + 1] += 1.0
             # SPD with eigenvalues >= 1 by construction: skip the symmetry
             # scan and the trace-relative pivot floor, which misfires for
             # large D.
-            coupling = phi_d, cholesky(m, check_symmetric=False, pivot_floor=False,
-                                       overwrite_a=True)
-            self.__dict__["_coupling_cache"] = coupling  # frozen: bypass __setattr__
-        return coupling
+            factor = cholesky(m, check_symmetric=False, pivot_floor=False,
+                              overwrite_a=True)
+            self.__dict__["_coupling_cache"] = factor  # frozen: bypass __setattr__
+        return factor
 
 
 @dataclass(frozen=True)
@@ -219,23 +230,21 @@ def fast_sample(g: StructuredGaussian, rng: RngStream) -> AugmentedDraw:
 
     Consumes p standard normals for u, then n for delta.  The first draw
     (or mean, or density) on an instance builds its n x n system, whose
-    n x p by p x n product dominates the cost and grows linearly in p
+    SYRK over an n x p matrix dominates the cost and grows linearly in p
     for diagonal D; later draws on the same instance cost O(np).
     """
     u = g.scale.sample_zero_mean(rng)
     delta = rng.standard_normal(g.n)
     v = g.phi @ u + delta
-    phi_d, factor = g._coupling
-    w = solve_spd(factor, g.alpha - v)
-    theta = u + w @ phi_d
+    w = solve_spd(g._coupling, g.alpha - v)
+    theta = u + g.scale.matvec(w @ g.phi)
     return AugmentedDraw(u=u, delta=delta, v=v, w=w, theta=theta)
 
 
 def posterior_mean(g: StructuredGaussian) -> np.ndarray:
     """mu = D Phi' (Phi D Phi' + I)^-1 alpha, the u = delta = 0 case."""
-    phi_d, factor = g._coupling
-    w = solve_spd(factor, g.alpha)
-    return w @ phi_d
+    w = solve_spd(g._coupling, g.alpha)
+    return g.scale.matvec(w @ g.phi)
 
 
 def baseline_sample(g: StructuredGaussian, rng: RngStream) -> np.ndarray:
@@ -267,7 +276,7 @@ def log_density(g: StructuredGaussian, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (g.p,):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({g.p},)")
-    _, factor = g._coupling
+    factor = g._coupling
     log_det_prec = -g.scale.log_det + factor.log_det
     phi_x = g.phi @ x
     quad_x = float(np.dot(phi_x, phi_x)) + g.scale.inv_quad(x)

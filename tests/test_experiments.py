@@ -160,6 +160,23 @@ class TestRunReplicates:
         widths = {len(line.split(",")) for line in lines}
         assert len(widths) == 1
 
+    def test_render_csv_keeps_replicate_index_after_failure(self, monkeypatch):
+        # Replicate 1 of 3 fails: the rows must read 0 and 2, the failure 1.
+        fit = experiments._fit_replicate
+
+        def failing(design, cfg, index):
+            if index == 1:
+                raise RuntimeError("replicate 1 fails")
+            return fit(design, cfg, index)
+
+        monkeypatch.setattr(experiments, "_fit_replicate", failing)
+        design = SimDesign(n=25, p=15, n_replicates=3, sigma=1.0)
+        run = run_replicates(design, self.CFG)
+        assert run.indices == [0, 2]
+        rows = [line.split(",")[:2] for line in render_replicates_csv(run).splitlines()[1:]]
+        assert [r for r in rows if r[0] == "replicate"] == [["replicate", "0"], ["replicate", "2"]]
+        assert [r for r in rows if r[0] == "failure"] == [["failure", "1"]]
+
 
 class TestRunBench:
     def test_rows_and_slopes(self):

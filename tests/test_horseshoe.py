@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fastmvg import (
     ChainConfig,
     ConfigError,
+    DiagonalScale,
     HorseshoeState,
     RegressionData,
     RngStream,
+    StructuredGaussian,
     run_chain,
     update_beta,
     update_lambda,
@@ -14,7 +18,13 @@ from fastmvg import (
     update_tau,
 )
 
-from conftest import QueuedStream, ks_statistic, quadrature_cdf, rejection_sample
+from conftest import (
+    QueuedStream,
+    ks_statistic,
+    quadrature_cdf,
+    rejection_sample,
+    woodbury_theta,
+)
 
 
 def make_state(beta, lam, tau=1.0, sigma2=1.0):
@@ -75,6 +85,44 @@ class TestUpdateBeta:
         assert np.all(np.abs(draws.mean(0) - oracle.mean(0)) < 4 * mean_se)
         cov_se = np.sqrt(2.0 * (np.outer(var, var) + cov**2) / n_draws)
         assert np.all(np.abs(np.cov(draws.T) - np.cov(oracle.T)) < 4 * cov_se)
+
+    def test_matches_standardized_parameterization(self):
+        # sigma times a draw on (X, tau^2 Lambda^2, y/sigma) must equal,
+        # for the same normals, the draw on the standardized instance
+        # (X/sigma, sigma^2 tau^2 Lambda^2, y/sigma), whose u is sigma
+        # times larger.
+        gen = np.random.default_rng(17)
+        n, p = 6, 15
+        x = gen.standard_normal((n, p))
+        y = gen.standard_normal(n)
+        lam = gen.uniform(0.2, 3.0, p)
+        sigma2, tau = 2.25, 0.7
+        state = make_state(np.zeros(p), lam, tau=tau, sigma2=sigma2)
+        z_p, z_n = gen.standard_normal(p), gen.standard_normal(n)
+        beta = update_beta(state, RegressionData(x, y), QueuedStream(normals=[z_p, z_n]))
+
+        sigma = np.sqrt(sigma2)
+        d = sigma2 * tau**2 * lam**2
+        g = StructuredGaussian(x / sigma, DiagonalScale(d), y / sigma)
+        np.testing.assert_allclose(beta, woodbury_theta(g, np.sqrt(d) * z_p, z_n),
+                                   rtol=1e-10)
+
+    def test_allocates_at_most_one_n_by_p_temporary(self):
+        # After a warm call, a draw at p >> n may allocate B = X Lambda*^{1/2}
+        # and nothing else of size n x p: no X/sigma copy, no kept Phi D.
+        gen = np.random.default_rng(18)
+        n, p = 20, 20000
+        data = RegressionData(gen.standard_normal((n, p)), gen.standard_normal(n))
+        state = make_state(np.zeros(p), gen.uniform(0.5, 2.0, p), tau=0.5, sigma2=2.0)
+        rng = RngStream(6, 0)
+        update_beta(state, data, rng)
+        tracemalloc.start()
+        try:
+            update_beta(state, data, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * p * 8
 
 
 class TestUpdateLambda:

@@ -8,7 +8,7 @@ from fastmvg import (
     solve_lower,
     solve_spd,
 )
-from fastmvg.linalg import _check_info
+from fastmvg.linalg import _check_info, syrk
 
 from conftest import gauss_solve
 
@@ -73,6 +73,26 @@ class TestCholesky:
             cholesky(np.ones((2, 3)))
         with pytest.raises(DimensionMismatch):
             cholesky(np.zeros((0, 0)))
+
+
+class TestSyrk:
+    @pytest.mark.parametrize("n, p", [(6, 15), (15, 6), (1, 7), (7, 1), (1, 1)])
+    def test_upper_triangle_matches_naive_products(self, n, p):
+        b = np.random.default_rng(n * 31 + p).standard_normal((n, p))
+        expected = np.array([[sum(b[i, k] * b[j, k] for k in range(p)) for j in range(n)]
+                             for i in range(n)])
+        np.testing.assert_allclose(np.triu(syrk(b)), np.triu(expected), rtol=1e-13)
+
+    def test_factored_in_place_as_cholesky_reads_it(self):
+        # cholesky reads the upper triangle of a C-ordered input, which is
+        # the triangle syrk fills, and factors it without a copy.
+        b = np.random.default_rng(9).standard_normal((8, 20))
+        m = syrk(b)
+        m.flat[:: 9] += 1.0
+        f = cholesky(m, check_symmetric=False, pivot_floor=False, overwrite_a=True)
+        assert np.shares_memory(f.lower, m)
+        expected = b @ b.T + np.eye(8)
+        np.testing.assert_allclose(f.lower @ f.lower.T, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestSolveSpd:

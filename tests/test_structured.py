@@ -10,7 +10,9 @@ from fastmvg import (
     DenseSpdScale,
     DiagonalScale,
     DimensionMismatch,
+    NotPositiveDefinite,
     RngStream,
+    SpdFactor,
     StructuredGaussian,
     baseline_sample,
     fast_sample,
@@ -261,6 +263,51 @@ class TestKeptFactor:
                     np.testing.assert_array_equal(got[k], expected[k])
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestHostileScales:
+    """d from 1e-300 to 1e300, shuffled, through the SYRK build of M.
+
+    Each case either matches the dense Woodbury oracle or raises
+    NotPositiveDefinite, and never returns NaN.  At (20, 60) and (60, 20)
+    M = I + Phi D Phi' has a condition number near 1e300, far past
+    float64, and the factorization must say so; with n = 1 or p = 1 the
+    draw and the mean must still match the oracle.
+    """
+
+    @staticmethod
+    def instance(n, p, dense):
+        gen = np.random.default_rng(7)
+        d = np.logspace(-300, 300, p)
+        gen.shuffle(d)
+        if dense:
+            # The exact factor is supplied: cholesky's pivot floor would
+            # rightly refuse to factor diag(d) itself.
+            scale = DenseSpdScale(np.diag(d), SpdFactor(np.diag(np.sqrt(d))))
+        else:
+            scale = DiagonalScale(d)
+        return StructuredGaussian(gen.standard_normal((n, p)), scale, gen.standard_normal(n))
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("n, p", [(20, 60), (60, 20)])
+    def test_spread_past_float64_raises(self, n, p, dense):
+        g = self.instance(n, p, dense)
+        with pytest.raises(NotPositiveDefinite):
+            fast_sample(g, RngStream(3, 0))
+        with pytest.raises(NotPositiveDefinite):
+            posterior_mean(replace(g))
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("n, p", [(1, 60), (60, 1), (1, 1)])
+    def test_single_row_or_column_matches_oracle(self, n, p, dense):
+        g = self.instance(n, p, dense)
+        draw = fast_sample(g, RngStream(3, 0))
+        assert not np.any(np.isnan(draw.theta))
+        np.testing.assert_allclose(draw.theta, woodbury_theta(g, draw.u, draw.delta),
+                                   rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(posterior_mean(g),
+                                   woodbury_theta(g, np.zeros(p), np.zeros(n)),
+                                   rtol=1e-10, atol=0.0)
 
 
 class TestBlockDecomposition:
