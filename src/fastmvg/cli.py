@@ -114,20 +114,15 @@ def cmd_sample(args) -> int:
     d = _read_rows(args.d_csv)
     alpha = _read_vector(args.alpha_csv)
     n, p = phi.shape
-    if d.shape == (1, p):
-        if np.min(d[0]) <= 0.0:
-            raise CliInputError(f"{args.d_csv}: row 1: diagonal entries must be positive")
-        scale = DiagonalScale(d[0])
-    elif d.shape == (p, p):
-        try:
-            scale = DenseSpdScale.from_matrix(d)
-        except ValueError as exc:  # asymmetric or otherwise malformed matrix
-            raise CliInputError(f"{args.d_csv}: {exc}") from exc
-    else:
+    if d.shape not in ((1, p), (p, p)):
         raise CliInputError(
             f"{args.d_csv}: row 1: expected 1 row (diagonal) or {p} rows (dense), "
             f"found shape {d.shape[0]}x{d.shape[1]}"
         )
+    try:
+        scale = DiagonalScale(d[0]) if d.shape == (1, p) else DenseSpdScale(d)
+    except ValueError as exc:  # non-positive variances, or an asymmetric matrix
+        raise CliInputError(f"{args.d_csv}: {exc}") from exc
     if alpha.shape[0] != n:
         raise CliInputError(
             f"{args.alpha_csv}: row 1: expected {n} rows to match phi, found {alpha.shape[0]}"
@@ -191,11 +186,9 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
             fixed_sigma=None if args.sample_sigma else args.sigma**2,
         )
+        run = run_replicates(design, cfg, threads=args.threads)
     except ConfigError as exc:
         raise CliInputError(str(exc)) from exc
-    if args.threads < 1:
-        raise CliInputError("--threads must be >= 1")
-    run = run_replicates(design, cfg, threads=args.threads)
     _write_text(args.out, render_replicates_csv(run))
     return EXIT_OK
 

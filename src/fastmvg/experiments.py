@@ -36,6 +36,9 @@ SIGNAL_SETS = {"strong": STRONG_SIGNALS, "weak": WEAK_SIGNALS}
 _COMPOUND_RHO = 0.5
 _TOEPLITZ_RHO = 0.9
 
+# run_bench times each grid point in this many separated blocks.
+BENCH_PASSES = 3
+
 
 @dataclass(frozen=True)
 class SimDesign:
@@ -285,7 +288,7 @@ def _time_block(sampler, g: StructuredGaussian, rng: RngStream,
 
 
 def run_bench(n_grid, p_grid, repetitions: int = 5, seed: int = 0,
-              min_total_seconds: float = 0.2, passes: int = 3) -> BenchResult:
+              min_total_seconds: float = 0.2) -> BenchResult:
     """Median wall times of both samplers over the (n, p) grid.
 
     Timing is strictly sequential and pinned to one BLAS thread so the
@@ -294,7 +297,7 @@ def run_bench(n_grid, p_grid, repetitions: int = 5, seed: int = 0,
     set-threads symbols and verified by reading each count back
     (``blas.pinned_blas``); if a library cannot be found or reads back
     anything but 1, BlasPinError is raised and nothing is timed.  Each grid
-    point is timed in ``passes`` separated blocks, each running until
+    point is timed in BENCH_PASSES separated blocks, each running until
     both its repetition floor and a minimum total wall time are
     reached; the reported value is the median of the block medians,
     which rejects transient machine load that would otherwise bias a
@@ -309,12 +312,10 @@ def run_bench(n_grid, p_grid, repetitions: int = 5, seed: int = 0,
         raise ConfigError("benchmark grid entries must be positive")
     if repetitions < 5:
         raise ConfigError("need at least 5 repetitions")
-    if passes < 1:
-        raise ConfigError("need at least one timing pass")
 
     samplers = {"fast": lambda g, r: fast_sample(g, r).theta, "baseline": baseline_sample}
-    per_pass_reps = max(2, -(-repetitions // passes))
-    per_pass_floor = min_total_seconds / passes
+    per_pass_reps = max(2, -(-repetitions // BENCH_PASSES))
+    per_pass_floor = min_total_seconds / BENCH_PASSES
     instances = {(n, p): _bench_instance(n, p, seed) for n in n_grid for p in p_grid}
     blocks: dict[tuple[str, int, int], list[float]] = {
         (m, n, p): [] for m in samplers for n in n_grid for p in p_grid
@@ -323,7 +324,7 @@ def run_bench(n_grid, p_grid, repetitions: int = 5, seed: int = 0,
         for (n, p), g in instances.items():  # warm-up, outside the clock
             for sampler in samplers.values():
                 sampler(g, RngStream(seed, stream_id=29))
-        for _ in range(passes):
+        for _ in range(BENCH_PASSES):
             for n in n_grid:
                 for p in p_grid:
                     g = instances[(n, p)]

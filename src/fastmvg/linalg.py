@@ -7,6 +7,11 @@ contract layered on top.  The scipy.linalg wrappers add a fixed cost
 per call that is larger than the factorization itself at n = 50, and
 that constant would flatten the linear-in-p scaling of the fast
 sampler.
+
+``cholesky`` trusts its input: it reads the upper triangle of a
+C-ordered matrix and runs no symmetry scan and no pivot floor, only
+LAPACK's own pivot check.  A caller that holds a matrix from outside
+the package validates it first, as ``structured.DenseSpdScale`` does.
 """
 from __future__ import annotations
 
@@ -16,10 +21,6 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-
-# Pivots at or below PIVOT_RTOL * trace(A)/dim are treated as numerical
-# singularity rather than roundoff.
-PIVOT_RTOL = 1e-12
 
 
 def _check_info(routine: str, info: int) -> None:
@@ -61,27 +62,23 @@ def syrk(b: np.ndarray) -> np.ndarray:
 
     Returns a C-ordered n x n array whose upper triangle holds B B'; the
     strict lower triangle is not computed.  The upper triangle is the
-    one ``cholesky`` reads, so the result can be factored in place with
-    ``check_symmetric=False``.  A C-ordered ``b`` reaches BLAS as its
-    Fortran-ordered transpose, with no copy.
+    one ``cholesky`` reads, so the result can be factored in place.  A
+    C-ordered ``b`` reaches BLAS as its Fortran-ordered transpose, with
+    no copy.
     """
     return blas.dsyrk(1.0, b.T, trans=1, lower=1).T
 
 
-def cholesky(a: np.ndarray, *, check_symmetric: bool = True,
-             pivot_floor: bool = True, overwrite_a: bool = False) -> SpdFactor:
+def cholesky(a: np.ndarray, *, overwrite_a: bool = False) -> SpdFactor:
     """Factor a symmetric positive-definite matrix.
 
-    Raises NotPositiveDefinite when LAPACK reports a non-positive pivot
-    or when any pivot falls below PIVOT_RTOL * trace(a)/dim, which
-    signals an input that is singular at working precision.
-
-    pivot_floor=False skips the trace-relative check and accepts any
-    factorization LAPACK completes.  That is the right mode for
-    matrices that are SPD with a known spectral floor by construction
-    (the samplers' Phi D Phi' + I systems have eigenvalues >= 1, yet a
-    heavy-tailed D inflates the trace until healthy unit pivots would
-    trip the relative floor).
+    Reads only the upper triangle of a C-ordered ``a`` (the lower
+    triangle of a Fortran-ordered one); the other triangle is never
+    looked at, so an asymmetric ``a`` is not detected.  No symmetry
+    scan and no pivot floor run here: callers factor matrices that are
+    SPD by construction, and a matrix from outside the package is
+    validated before it gets here (``structured.DenseSpdScale``).
+    Raises NotPositiveDefinite when LAPACK reports a non-positive pivot.
 
     overwrite_a=True lets LAPACK factor a C-contiguous float64 ``a`` in
     place, so ``a`` is destroyed; callers pass it for temporaries, where
@@ -91,23 +88,11 @@ def cholesky(a: np.ndarray, *, check_symmetric: bool = True,
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
-    if check_symmetric:
-        scale = np.max(np.abs(a))
-        if scale > 0.0 and np.max(np.abs(a - a.T)) > 1e-10 * scale:
-            raise ValueError("matrix is not symmetric within tolerance")
-    if pivot_floor:  # taken before overwrite_a lets LAPACK destroy a
-        floor = PIVOT_RTOL * float(np.trace(a)) / a.shape[0]
     # a.T is a Fortran-ordered view of a C-ordered a, which LAPACK takes
     # without a transposing copy; for symmetric a its lower triangle is
     # the transpose of a's upper triangle, so the factor is the same.
     lower, info = lapack.dpotrf(a.T, lower=1, clean=1, overwrite_a=int(overwrite_a))
     _check_info("dpotrf", info)
-    if pivot_floor:
-        diag = np.diagonal(lower)
-        if np.min(diag * diag) <= floor:
-            raise NotPositiveDefinite(
-                f"pivot {np.min(diag * diag):.3e} at or below floor {floor:.3e}"
-            )
     return SpdFactor(lower)
 
 

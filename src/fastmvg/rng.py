@@ -63,9 +63,3 @@ class RngStream:
                 f"gamma requires shape > 0 and rate > 0, got {shape}, {rate}"
             )
         return float(self._gen.gamma(shape, 1.0 / rate))
-
-    def exponential(self, rate: float) -> float:
-        """One Exponential(rate) draw."""
-        if not rate > 0.0:
-            raise InvalidParameter(f"exponential requires rate > 0, got {rate}")
-        return float(self._gen.exponential(1.0 / rate))

@@ -31,11 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NotPositiveDefinite
 from .linalg import SpdFactor, cholesky, solve_lower, solve_spd, syrk
 from .rng import RngStream
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+
+# A dense D whose Cholesky pivot is at or below PIVOT_RTOL * trace(D)/p
+# is singular at working precision rather than merely small.
+PIVOT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -83,31 +87,46 @@ class DenseSpdScale:
     """Dense SPD prior covariance D with its Cholesky factor.
 
     Sampling N(0, D) for non-diagonal D needs a concrete square root,
-    so a factor is carried alongside the matrix; it is computed at
-    construction unless a precomputed one is supplied, in which case it
-    must reconstruct D to 1e-10 relative accuracy.
+    so a factor is carried alongside the matrix.  Every path checks that
+    D is square, finite and symmetric to 1e-10 of its largest entry
+    (ValueError, or DimensionMismatch for the shape).  With no factor,
+    D is factored here, and a pivot at or below PIVOT_RTOL * trace(D)/p,
+    singular at working precision, raises NotPositiveDefinite.  A
+    supplied factor must have D's shape (DimensionMismatch), be lower
+    triangular with a positive diagonal, and reconstruct D to 1e-10
+    relative accuracy (ValueError); no pivot floor applies to it.
     """
 
     matrix: np.ndarray
-    factor: SpdFactor
+    factor: SpdFactor | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch("dense scale expects a square matrix")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+            raise DimensionMismatch("dense scale expects a nonempty square matrix")
         if not np.all(np.isfinite(m)):
             raise ValueError("dense scale entries must be finite")
+        top = np.max(np.abs(m))
+        if np.max(np.abs(m - m.T)) > 1e-10 * top:
+            raise ValueError("matrix is not symmetric within tolerance")
         object.__setattr__(self, "matrix", m)
-        err = np.max(np.abs(self.factor.lower @ self.factor.lower.T - m))
-        if err > 1e-10 * max(np.max(np.abs(m)), 1.0):
+        if self.factor is None:
+            floor = PIVOT_RTOL * float(np.trace(m)) / m.shape[0]
+            factor = cholesky(m)
+            pivot = np.min(np.diagonal(factor.lower)) ** 2
+            if pivot <= floor:
+                raise NotPositiveDefinite(f"pivot {pivot:.3e} at or below floor {floor:.3e}")
+            object.__setattr__(self, "factor", factor)
+            return
+        lower = np.asarray(self.factor.lower, dtype=float)
+        if lower.shape != m.shape:
+            raise DimensionMismatch(
+                f"factor shape {lower.shape} does not match matrix shape {m.shape}"
+            )
+        if np.any(np.triu(lower, 1)) or not np.min(np.diagonal(lower)) > 0.0:
+            raise ValueError("supplied factor is not lower triangular with a positive diagonal")
+        if not np.max(np.abs(lower @ lower.T - m)) <= 1e-10 * max(top, 1.0):
             raise ValueError("supplied factor does not reconstruct the matrix")
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray, factor: SpdFactor | None = None) -> "DenseSpdScale":
-        matrix = np.asarray(matrix, dtype=float)
-        if factor is None:
-            factor = cholesky(matrix)
-        return cls(matrix, factor)
 
     @property
     def dim(self) -> int:
@@ -200,11 +219,9 @@ class StructuredGaussian:
             # M = I + B B' for B = Phi D^{1/2}, upper triangle only.
             m = syrk(self.scale.phi_times_scale(self.phi))
             m.flat[:: self.n + 1] += 1.0
-            # SPD with eigenvalues >= 1 by construction: skip the symmetry
-            # scan and the trace-relative pivot floor, which misfires for
-            # large D.
-            factor = cholesky(m, check_symmetric=False, pivot_floor=False,
-                              overwrite_a=True)
+            # SPD with eigenvalues >= 1 by construction: no pivot floor,
+            # which would misfire for large D.
+            factor = cholesky(m, overwrite_a=True)
             self.__dict__["_coupling_cache"] = factor  # frozen: bypass __setattr__
         return factor
 
@@ -259,7 +276,7 @@ def baseline_sample(g: StructuredGaussian, rng: RngStream) -> np.ndarray:
     g.scale.add_inverse_inplace(q)
     # Q = Phi' Phi + D^-1 is SPD by construction (D is validated SPD),
     # so only LAPACK's own pivot check applies here.
-    factor = cholesky(q, check_symmetric=False, pivot_floor=False, overwrite_a=True)
+    factor = cholesky(q, overwrite_a=True)
     # mu + L^-T z = L^-T (L^-1 Phi' alpha + z): two triangular solves.
     w = solve_lower(factor, g.phi.T @ g.alpha)
     z = rng.standard_normal(g.p)

@@ -108,7 +108,7 @@ def random_instance(seed, n, p, dense=False) -> StructuredGaussian:
     if dense:
         m = gen.standard_normal((p, p))
         d = m @ m.T / p + np.eye(p)
-        scale = DenseSpdScale.from_matrix(d)
+        scale = DenseSpdScale(d)
     else:
         scale = DiagonalScale(gen.uniform(0.3, 3.0, p))
     return StructuredGaussian(phi, scale, alpha)

@@ -126,6 +126,14 @@ class TestSample:
         assert code == 2
         assert "d.csv" in capsys.readouterr().err
 
+    def test_zero_diagonal_d_exit_2(self, tmp_path, capsys):
+        phi = write(tmp_path / "phi.csv", "1,0\n0,1\n")
+        d = write(tmp_path / "d.csv", "1,0\n")  # one row: diagonal D with a zero
+        alpha = write(tmp_path / "alpha.csv", "1\n1\n")
+        code = main(["sample", phi, d, alpha, "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "d.csv" in capsys.readouterr().err
+
     def test_zero_draws_exit_2(self, tmp_path, unit_instance):
         phi, d, alpha = unit_instance
         code = main(["sample", phi, d, alpha, "--draws", "0",
@@ -245,6 +253,12 @@ class TestSimulate:
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert main(["simulate", "--cov", "weird",
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_zero_threads_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main([*self.ARGS, "--threads", "0", "--out", str(out)]) == 2
+        assert "threads" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBench:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import kstest
 
 from fastmvg import InvalidParameter, RngStream, derive_seed
 
@@ -13,7 +13,6 @@ class TestReproducibility:
         np.testing.assert_array_equal(a.standard_normal(100), b.standard_normal(100))
         assert a.uniform() == b.uniform()
         assert a.gamma(2.0, 3.0) == b.gamma(2.0, 3.0)
-        assert a.exponential(1.5) == b.exponential(1.5)
 
     def test_distinct_streams_differ(self):
         a = RngStream(42, 0)
@@ -40,8 +39,7 @@ class TestDistributions:
     def test_gamma_shape_one_is_exponential(self):
         rng = RngStream(7, 0)
         g = np.array([rng.gamma(1.0, 2.0) for _ in range(100_000)])
-        e = np.array([rng.exponential(2.0) for _ in range(100_000)])
-        assert ks_2samp(g, e).statistic < 0.01
+        assert kstest(g, "expon", args=(0, 0.5)).statistic < 0.01
 
     def test_gamma_mean_small_shape(self):
         # Shapes near 0.5 appear in variance updates; check the mean.
@@ -61,5 +59,3 @@ class TestDistributions:
             rng.gamma(0.0, 1.0)
         with pytest.raises(InvalidParameter):
             rng.gamma(1.0, -1.0)
-        with pytest.raises(InvalidParameter):
-            rng.exponential(0.0)

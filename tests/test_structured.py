@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fastmvg.structured as structured
 from fastmvg import (
@@ -15,6 +17,7 @@ from fastmvg import (
     SpdFactor,
     StructuredGaussian,
     baseline_sample,
+    cholesky,
     fast_sample,
     log_density,
     posterior_mean,
@@ -41,15 +44,47 @@ class TestScaleStructures:
         gen = np.random.default_rng(0)
         m = gen.standard_normal((4, 4))
         d = m @ m.T + 4 * np.eye(4)
-        scale = DenseSpdScale.from_matrix(d)
+        scale = DenseSpdScale(d)
         np.testing.assert_allclose(scale.factor.lower @ scale.factor.lower.T, d, atol=1e-10)
 
     def test_dense_rejects_bad_factor(self):
-        from fastmvg import cholesky
-
         wrong = cholesky(np.eye(3) * 2.0)
         with pytest.raises(ValueError):
             DenseSpdScale(np.eye(3), wrong)
+
+    def test_dense_asymmetric_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            DenseSpdScale(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_dense_tiny_pivot_raises(self):
+        # Singular at working precision: LAPACK accepts the second pivot
+        # (about 1e-13), but it is below PIVOT_RTOL * trace / 2 = 1e-12.
+        a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+        assert np.diagonal(cholesky(a).lower)[1] > 0.0
+        with pytest.raises(NotPositiveDefinite, match="floor"):
+            DenseSpdScale(a)
+
+    def test_dense_rejects_symmetric_square_root(self):
+        # S S' = D holds for the symmetric square root S, but log_det reads
+        # only S's diagonal and the LAPACK solves only its lower triangle.
+        gen = np.random.default_rng(4)
+        m = gen.standard_normal((4, 4))
+        d = m @ m.T + np.eye(4)
+        w, v = np.linalg.eigh(d)
+        s = (v * np.sqrt(w)) @ v.T
+        assert np.max(np.abs(s @ s.T - d)) <= 1e-10 * np.max(np.abs(d))
+        with pytest.raises(ValueError, match="lower triangular"):
+            DenseSpdScale(d, SpdFactor(s))
+
+    def test_dense_rejects_nonpositive_factor_diagonal(self):
+        # -L reconstructs D as well as L does, but its log_det is NaN.
+        lower = -cholesky(np.diag([4.0, 9.0])).lower
+        with pytest.raises(ValueError, match="positive diagonal"):
+            DenseSpdScale(np.diag([4.0, 9.0]), SpdFactor(lower))
+
+    def test_dense_rejects_factor_of_wrong_shape(self):
+        with pytest.raises(DimensionMismatch):
+            DenseSpdScale(np.eye(4), SpdFactor(np.eye(3)))
 
     def test_instance_validation(self):
         with pytest.raises(DimensionMismatch):
@@ -60,6 +95,52 @@ class TestScaleStructures:
             StructuredGaussian(
                 np.full((2, 3), np.nan), DiagonalScale(np.ones(3)), np.ones(2)
             )
+
+
+@st.composite
+def outside_covariances(draw):
+    """p x p candidates for D, p <= 6, of four kinds.
+
+    ``spd`` and ``rank_deficient`` are s A A' for A with entries on a
+    0.01 grid in [-10, 10] and s from 1e-300 to 1e300; ``asymmetric``
+    adds a relative error of 1e-9 to 1 to one upper entry of an spd
+    matrix; ``diagonal`` has entries spread over 1e-300 to 1e300.
+    """
+    p = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["spd", "asymmetric", "rank_deficient", "diagonal"]))
+    if kind == "diagonal":
+        exps = draw(st.lists(st.floats(-300.0, 300.0), min_size=p, max_size=p))
+        return np.diag(10.0 ** np.array(exps, dtype=float))
+    if kind == "rank_deficient":
+        k = draw(st.integers(0, max(p - 1, 0)))
+    else:
+        k = p + draw(st.integers(0, 2))
+    entries = draw(st.lists(st.integers(-1000, 1000), min_size=p * k, max_size=p * k))
+    a = np.array(entries, dtype=float).reshape(p, k) / 100.0
+    m = 10.0 ** draw(st.floats(-300.0, 300.0)) * (a @ a.T)
+    if kind == "asymmetric" and p > 1:
+        i = draw(st.integers(0, p - 2))
+        j = draw(st.integers(i + 1, p - 1))
+        m[i, j] += 10.0 ** draw(st.floats(-9.0, 0.0)) * np.max(np.abs(m))
+    return m
+
+
+class TestOutsideCovarianceFuzz:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(outside_covariances())
+    def test_factor_or_typed_error(self, m):
+        # An outside D either yields a lower-triangular factor with a
+        # positive diagonal that reconstructs D, or a typed error; never NaN.
+        try:
+            scale = DenseSpdScale(m)
+        except (ValueError, NotPositiveDefinite, DimensionMismatch):
+            return
+        lower = scale.factor.lower
+        assert np.all(np.isfinite(lower))
+        assert np.array_equal(lower, np.tril(lower))
+        assert np.all(np.diagonal(lower) > 0.0)
+        assert np.max(np.abs(lower @ lower.T - m)) <= 1e-10 * np.max(np.abs(m))
+        assert np.isfinite(scale.log_det)
 
 
 class TestFastSample:
@@ -281,8 +362,9 @@ class TestHostileScales:
         d = np.logspace(-300, 300, p)
         gen.shuffle(d)
         if dense:
-            # The exact factor is supplied: cholesky's pivot floor would
-            # rightly refuse to factor diag(d) itself.
+            # The exact factor is supplied: DenseSpdScale(np.diag(d)) would
+            # rightly refuse to factor diag(d) itself, as its pivot floor
+            # applies only when it computes the factor.
             scale = DenseSpdScale(np.diag(d), SpdFactor(np.diag(np.sqrt(d))))
         else:
             scale = DiagonalScale(d)
