@@ -62,26 +62,28 @@ def _read_rows(path: str) -> np.ndarray:
     line_nos: list[int] = []
     width = None
     try:
-        handle = open(path, "r", encoding="ascii")
+        with open(path, "r", encoding="ascii") as handle:
+            text = handle.read()
     except OSError as exc:
         raise CliInputError(f"{path}: cannot open: {exc.strerror}") from exc
-    with handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise CliInputError(
-                    f"{path}: row {lineno}: expected {width} fields, found {len(fields)}"
-                )
-            try:
-                rows.append([float(tok) for tok in fields])
-            except ValueError:
-                raise CliInputError(f"{path}: row {lineno}: invalid number") from None
-            line_nos.append(lineno)
+    except UnicodeDecodeError:
+        raise CliInputError(f"{path}: not ASCII text") from None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise CliInputError(
+                f"{path}: row {lineno}: expected {width} fields, found {len(fields)}"
+            )
+        try:
+            rows.append([float(tok) for tok in fields])
+        except ValueError:
+            raise CliInputError(f"{path}: row {lineno}: invalid number") from None
+        line_nos.append(lineno)
     if not rows:
         raise CliInputError(f"{path}: empty input")
     out = np.array(rows, dtype=float)
@@ -103,8 +105,11 @@ def _format_row(values) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="ascii", newline="\n") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise CliInputError(f"{path}: cannot write: {exc.strerror}") from exc
 
 
 def cmd_sample(args) -> int:
@@ -290,16 +295,13 @@ def main(argv=None) -> int:
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except NotPositiveDefinite as exc:
-        if args.command == "fit":
-            print(f"error: chain failed: {exc}", file=sys.stderr)
-            return EXIT_CHAIN
-        print(f"error: factorization failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except Exception as exc:  # noqa: BLE001 - chain-level failures
         if args.command == "fit":
             print(f"error: chain failed: {exc}", file=sys.stderr)
             return EXIT_CHAIN
+        if isinstance(exc, NotPositiveDefinite):
+            print(f"error: factorization failed: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
         raise
 
 

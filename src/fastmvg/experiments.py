@@ -53,8 +53,8 @@ class SimDesign:
     def __post_init__(self):
         if self.n < 2 or self.p < 1:
             raise ConfigError("need n >= 2 and p >= 1")
-        if not self.sigma > 0.0:
-            raise ConfigError("sigma must be positive")
+        if not (self.sigma > 0.0 and self.sigma * self.sigma < np.inf):
+            raise ConfigError("sigma must be positive with a finite sigma^2")
         if self.cov_kind not in COV_KINDS:
             raise ConfigError(f"cov_kind must be one of {COV_KINDS}")
         if self.signal_set not in SIGNAL_SETS:

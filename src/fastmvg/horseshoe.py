@@ -86,6 +86,8 @@ class HorseshoeState:
 
 @dataclass(frozen=True)
 class ChainConfig:
+    """Chain settings; fixed_sigma, if given, is sigma^2 (not sigma), held fixed."""
+
     n_iter: int = 6000
     burn_in: int = 1000
     thin: int = 1
@@ -99,8 +101,8 @@ class ChainConfig:
             raise ConfigError("burn_in must satisfy 0 <= burn_in < n_iter")
         if self.thin < 1:
             raise ConfigError("thin must be >= 1")
-        if self.fixed_sigma is not None and not self.fixed_sigma > 0.0:
-            raise ConfigError("fixed_sigma must be positive when given")
+        if self.fixed_sigma is not None and not 0.0 < self.fixed_sigma < np.inf:
+            raise ConfigError("fixed_sigma (sigma^2) must be finite and positive")
         if self.n_kept < 1:
             raise ConfigError("no draws kept: lower thin or raise n_iter")
 

@@ -8,13 +8,15 @@ per call that is larger than the factorization itself at n = 50, and
 that constant would flatten the linear-in-p scaling of the fast
 sampler.
 
-``cholesky`` trusts its input: it reads the upper triangle of a
-C-ordered matrix and runs no symmetry scan and no pivot floor, only
-LAPACK's own pivot check.  A caller that holds a matrix from outside
-the package validates it first, as ``structured.DenseSpdScale`` does.
+``cholesky`` reads the upper triangle of a C-ordered matrix and runs no
+symmetry scan and no pivot floor, but it is the one place that rejects
+a non-finite matrix: a non-positive, NaN or infinite pivot raises
+NotPositiveDefinite, at O(n) cost.  A caller that holds a matrix from
+outside the package validates it first, as ``structured.DenseSpdScale`` does.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +80,8 @@ def cholesky(a: np.ndarray, *, overwrite_a: bool = False) -> SpdFactor:
     scan and no pivot floor run here: callers factor matrices that are
     SPD by construction, and a matrix from outside the package is
     validated before it gets here (``structured.DenseSpdScale``).
-    Raises NotPositiveDefinite when LAPACK reports a non-positive pivot.
+    Raises NotPositiveDefinite for a non-positive, NaN or infinite pivot,
+    which any NaN or infinite entry of the triangle read gives.
 
     overwrite_a=True lets LAPACK factor a C-contiguous float64 ``a`` in
     place, so ``a`` is destroyed; callers pass it for temporaries, where
@@ -93,6 +96,10 @@ def cholesky(a: np.ndarray, *, overwrite_a: bool = False) -> SpdFactor:
     # the transpose of a's upper triangle, so the factor is the same.
     lower, info = lapack.dpotrf(a.T, lower=1, clean=1, overwrite_a=int(overwrite_a))
     _check_info("dpotrf", info)
+    # OpenBLAS passes NaN pivots.  Each pivot of a finite a is below
+    # 1e155, so the sum is finite exactly when every pivot is.
+    if not math.isfinite(lower.diagonal().sum()):
+        raise NotPositiveDefinite("LAPACK dpotrf: non-finite pivot")
     return SpdFactor(lower)
 
 

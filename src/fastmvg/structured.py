@@ -164,6 +164,9 @@ class StructuredGaussian:
 
     The factor of Phi D Phi' + I_n is built on first use and kept, so
     repeated draws, the mean and the density on one instance share it.
+    Construction checks shapes and a finite alpha; a NaN, infinite or
+    overflowing phi raises NotPositiveDefinite from ``cholesky`` when
+    M (or Phi' Phi + D^-1 in ``baseline_sample``) is factored.
     Do not mutate phi, alpha or the scale's arrays after construction:
     the kept factor would no longer match them.  A changed D needs a
     new instance (``dataclasses.replace`` gives one with no factor).
@@ -191,8 +194,8 @@ class StructuredGaussian:
             raise DimensionMismatch(
                 f"alpha length {alpha.shape[0]} does not match phi rows {n}"
             )
-        if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(alpha))):
-            raise ValueError("phi and alpha entries must be finite")
+        if not np.all(np.isfinite(alpha)):
+            raise ValueError("alpha entries must be finite")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "alpha", alpha)
 
@@ -218,7 +221,7 @@ class StructuredGaussian:
         if factor is None:
             # M = I + B B' for B = Phi D^{1/2}, upper triangle only.
             m = syrk(self.scale.phi_times_scale(self.phi))
-            m.flat[:: self.n + 1] += 1.0
+            m.ravel()[:: self.n + 1] += 1.0  # m is C-contiguous: ravel is a view
             # SPD with eigenvalues >= 1 by construction: no pivot floor,
             # which would misfire for large D.
             factor = cholesky(m, overwrite_a=True)
@@ -274,8 +277,8 @@ def baseline_sample(g: StructuredGaussian, rng: RngStream) -> np.ndarray:
     """
     q = g.phi.T @ g.phi
     g.scale.add_inverse_inplace(q)
-    # Q = Phi' Phi + D^-1 is SPD by construction (D is validated SPD),
-    # so only LAPACK's own pivot check applies here.
+    # Q = Phi' Phi + D^-1 is SPD for a finite Phi (D is validated SPD);
+    # a NaN, inf or overflow in Q fails cholesky's pivot checks.
     factor = cholesky(q, overwrite_a=True)
     # mu + L^-T z = L^-T (L^-1 Phi' alpha + z): two triangular solves.
     w = solve_lower(factor, g.phi.T @ g.alpha)

@@ -134,6 +134,29 @@ class TestSample:
         assert code == 2
         assert "d.csv" in capsys.readouterr().err
 
+    def test_non_ascii_input_exit_2(self, tmp_path, unit_instance, capsys):
+        _, d, alpha = unit_instance
+        (tmp_path / "phi.csv").write_bytes(b"1\xe9\n")
+        code = main(["sample", str(tmp_path / "phi.csv"), d, alpha,
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "phi.csv" in capsys.readouterr().err
+
+    def test_unwritable_out_exit_2(self, tmp_path, unit_instance, capsys):
+        phi, d, alpha = unit_instance
+        out = tmp_path / "missing" / "o.csv"
+        assert main(["sample", phi, d, alpha, "--out", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+
+    def test_overflowing_phi_exit_3(self, tmp_path, capsys):
+        # Finite entries whose Phi D Phi' overflows: the factorization fails.
+        phi = write(tmp_path / "phi.csv", "1e200,1e200\n")
+        d = write(tmp_path / "d.csv", "1,1\n")
+        alpha = write(tmp_path / "alpha.csv", "1\n")
+        code = main(["sample", phi, d, alpha, "--out", str(tmp_path / "o.csv")])
+        assert code == 3
+        assert "factorization failed" in capsys.readouterr().err
+
     def test_zero_draws_exit_2(self, tmp_path, unit_instance):
         phi, d, alpha = unit_instance
         code = main(["sample", phi, d, alpha, "--draws", "0",
@@ -207,6 +230,23 @@ class TestFit:
         yp = write(tmp_path / "y.csv", "1\n1\n1\n")
         assert main(["fit", xp, yp, "--iters", "100", "--burnin", "100",
                      "--out", str(tmp_path / "f")]) == 2
+        assert main(["fit", xp, yp, "--fixed-sigma", "inf",
+                     "--out", str(tmp_path / "f")]) == 2
+
+    def test_non_ascii_input_exit_2(self, tmp_path, capsys):
+        xp = write(tmp_path / "x.csv", "1\n1\n1\n")
+        (tmp_path / "y.csv").write_bytes(b"1\n1\n\xff\n")
+        assert main(["fit", xp, str(tmp_path / "y.csv"),
+                     "--out", str(tmp_path / "f")]) == 2
+        assert "y.csv" in capsys.readouterr().err
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        xp = write(tmp_path / "x.csv", "1\n0.5\n-0.5\n")
+        yp = write(tmp_path / "y.csv", "1\n0.4\n-0.6\n")
+        prefix = tmp_path / "missing" / "fit"
+        assert main(["fit", xp, yp, "--iters", "20", "--burnin", "5",
+                     "--out", str(prefix)]) == 2
+        assert f"{prefix}_summary.csv" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -253,6 +293,8 @@ class TestSimulate:
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert main(["simulate", "--cov", "weird",
                      "--out", str(tmp_path / "x.csv")]) == 2
+        for sigma in ("inf", "1e200"):  # 1e200 has no finite sigma^2
+            assert main([*self.ARGS, "--sigma", sigma, "--out", str(tmp_path / "x.csv")]) == 2
 
     def test_zero_threads_exit_2(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

@@ -80,6 +80,9 @@ class TestGenDesign:
             SimDesign(n=10, p=5, cov_kind="banded")
         with pytest.raises(ConfigError):
             SimDesign(n=10, p=5, sigma=0.0)
+        for sigma in (np.inf, 1e200):  # 1e200 has no finite sigma^2
+            with pytest.raises(ConfigError):
+                SimDesign(n=10, p=5, sigma=sigma)
 
 
 class TestComputeMetrics:

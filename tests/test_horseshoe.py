@@ -315,6 +315,8 @@ class TestRunChain:
             ChainConfig(fixed_sigma=-1.0)
         with pytest.raises(ConfigError):
             ChainConfig(n_iter=10, burn_in=5, thin=10)  # zero kept draws
+        with pytest.raises(ConfigError):
+            ChainConfig(fixed_sigma=np.inf)
 
     def test_data_validation(self):
         with pytest.raises(Exception):

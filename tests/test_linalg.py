@@ -49,6 +49,17 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite, match="order 3"):
             cholesky(a, overwrite_a=overwrite_a)
 
+    @pytest.mark.parametrize("n", [3, 40])  # below and above OpenBLAS's block size
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("at", [(1, 1), (0, 2), (-1, -1)])
+    def test_non_finite_entry_raises(self, n, bad, at):
+        # dpotrf reports info = 0 for a NaN pivot; every NaN or inf in the
+        # upper triangle must still raise, on or above the diagonal.
+        a = np.eye(n) * 4.0
+        a[at] = bad
+        with pytest.raises(NotPositiveDefinite):
+            cholesky(a)
+
     def test_illegal_argument_is_an_error(self):
         with pytest.raises(ValueError, match="argument 4"):
             _check_info("dpotrf", -4)

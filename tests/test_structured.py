@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -92,9 +93,34 @@ class TestScaleStructures:
         with pytest.raises(DimensionMismatch):
             StructuredGaussian(np.ones((2, 3)), DiagonalScale(np.ones(3)), np.ones(3))
         with pytest.raises(ValueError):
-            StructuredGaussian(
-                np.full((2, 3), np.nan), DiagonalScale(np.ones(3)), np.ones(2)
-            )
+            StructuredGaussian(np.ones((2, 3)), DiagonalScale(np.ones(3)),
+                               np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phi_raises_when_factored(self, bad, dense):
+        # phi is not scanned at construction; every consumer factors a
+        # system that the bad entry makes non-finite, and cholesky says so.
+        phi = np.random.default_rng(5).standard_normal((2, 3))
+        phi[1, 2] = bad
+        scale = DenseSpdScale(np.eye(3)) if dense else DiagonalScale(np.ones(3))
+        g = StructuredGaussian(phi, scale, np.ones(2))
+        assert_every_consumer_raises(g)
+
+    def test_construction_does_not_scan_phi(self):
+        # At (20, 20000) an isfinite scan of phi allocates an n x p
+        # boolean temporary, 0.125 n p 8 bytes; construction must not.
+        n, p = 20, 20000
+        phi = np.random.default_rng(8).standard_normal((n, p))
+        scale, alpha = DiagonalScale(np.ones(p)), np.ones(n)
+        StructuredGaussian(phi, scale, alpha)
+        tracemalloc.start()
+        try:
+            StructuredGaussian(phi, scale, alpha)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * n * p * 8
 
 
 @st.composite
@@ -346,6 +372,18 @@ class TestKeptFactor:
             sys.setswitchinterval(interval)
 
 
+def assert_every_consumer_raises(g):
+    """Each public consumer of g raises NotPositiveDefinite, each on a fresh copy."""
+    with pytest.raises(NotPositiveDefinite):
+        fast_sample(replace(g), RngStream(3, 0))
+    with pytest.raises(NotPositiveDefinite):
+        posterior_mean(replace(g))
+    with pytest.raises(NotPositiveDefinite):
+        log_density(replace(g), np.zeros(g.p))
+    with pytest.raises(NotPositiveDefinite):
+        baseline_sample(replace(g), RngStream(3, 0))
+
+
 class TestHostileScales:
     """d from 1e-300 to 1e300, shuffled, through the SYRK build of M.
 
@@ -390,6 +428,16 @@ class TestHostileScales:
         np.testing.assert_allclose(posterior_mean(g),
                                    woodbury_theta(g, np.zeros(p), np.zeros(n)),
                                    rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("n, p", [(1, 3), (3, 5)])
+    def test_overflowing_phi_raises(self, n, p, dense):
+        # Every entry of phi and d is finite, but Phi D Phi' and Phi' Phi
+        # overflow to inf; a consumer must not return a value built on them.
+        d = np.full(p, 1e10)
+        scale = DenseSpdScale(np.diag(d)) if dense else DiagonalScale(d)
+        g = StructuredGaussian(np.full((n, p), 1e200), scale, np.ones(n))
+        assert_every_consumer_raises(g)
 
 
 class TestBlockDecomposition:
