@@ -35,6 +35,7 @@ from .horseshoe import (
     HorseshoeState,
     IntervalSummary,
     RegressionData,
+    TauDraw,
     run_chain,
     update_beta,
     update_lambda,
@@ -77,6 +78,7 @@ __all__ = [
     "SimDesign",
     "SpdFactor",
     "StructuredGaussian",
+    "TauDraw",
     "WEAK_SIGNALS",
     "baseline_sample",
     "cholesky",

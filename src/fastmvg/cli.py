@@ -15,6 +15,7 @@ could not verify its BLAS thread pin.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -104,6 +105,15 @@ def _format_row(values) -> str:
     return ",".join(format(float(v), ".17g") for v in values)
 
 
+def _check_writable(path: str) -> None:
+    """Fail before the work, not after it, when ``path`` cannot be created."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise CliInputError(f"{path}: cannot write: no such directory")
+    if not os.access(folder, os.W_OK):
+        raise CliInputError(f"{path}: cannot write: permission denied")
+
+
 def _write_text(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="ascii", newline="\n") as handle:
@@ -159,6 +169,7 @@ def cmd_fit(args) -> int:
         )
     except (ConfigError, ValueError) as exc:
         raise CliInputError(str(exc)) from exc
+    _check_writable(f"{args.out}_summary.csv")
     result = run_chain(data, cfg)
     s = result.summaries
     lines = ["index,mean,median,lower95,upper95"]

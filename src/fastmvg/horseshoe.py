@@ -5,37 +5,66 @@ Model: y = X beta + eps, eps ~ N(0, sigma^2 I), with
     beta_j | lambda_j, tau, sigma ~ N(0, lambda_j^2 tau^2 sigma^2)
     lambda_j ~ half-Cauchy(0, 1),  tau ~ half-Cauchy(0, 1)
 
-and noise prior h(sigma^2) proportional to 1/sigma^2 (or sigma^2 held
-fixed via ChainConfig.fixed_sigma).  The beta block is drawn exactly
-as sigma times a structured-Gaussian fast-sampler draw with phi = X,
-D = tau^2 diag(lambda^2), alpha = y/sigma; the scale blocks use
-slice transitions in the inverse-square parameterization, where both
-conditionals reduce to truncated exponential/gamma draws with
-closed-form inversion.
+and noise prior h(sigma^2) proportional to 1/sigma^2 on [f, inf), with
+f = RegressionData.sigma2_floor (or sigma^2 held fixed via
+ChainConfig.fixed_sigma).
+
+An iteration first updates the local scales by a slice transition in
+eta_j = lambda_j^-2, where the conditional reduces to a truncated
+exponential drawn by inversion.  It then draws (tau, sigma^2, beta)
+given lambda as one exact block, the blocked update of Johndrow,
+Orenstein & Bhattacharya (JMLR 2020):
+
+    xi = tau^-2         random-walk Metropolis on log xi, with beta and
+                        sigma^2 integrated out of its target
+    sigma^2 | xi        truncated inverse gamma, beta integrated out
+    beta | xi, sigma^2  sigma times a structured-Gaussian fast-sampler
+                        draw with phi = X, D = tau^2 diag(lambda^2),
+                        alpha = y/sigma
+
+All three read the n x n system M = I + tau^2 X Lambda^2 X'.  Its
+factor gives log |M| and q = y' M^-1 y for the xi target and the
+sigma^2 draw, and the accepted factor is the one the beta draw solves
+against, so X Lambda^2 X' is formed once per iteration, by one SYRK.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv
+from scipy.special import gammainc, gammaincinv, hyp1f1
 
 from .errors import ConfigError, DimensionMismatch
+from .linalg import SpdFactor, cholesky, solve_lower, syrk
 from .rng import RngStream
 from .structured import DiagonalScale, StructuredGaussian, fast_sample
 
-# Below this value of rate * bound, the truncated exponential/gamma is
-# indistinguishable from its small-argument power-law limit.
+# Below this value of rate * bound, the truncated exponential is
+# indistinguishable from its small-argument uniform limit.
 _SMALL_MASS = 1e-10
-_CDF_FLOOR = 1e-12
+
+# Standard deviation of the random-walk proposal on log(tau^-2).  A
+# fixed constant of the kernel, not tuned to any dataset.
+_LOG_XI_STEP = 0.8
 
 
 @dataclass(frozen=True)
 class RegressionData:
-    """Fixed design matrix and response."""
+    """Fixed design matrix and response.
+
+    sigma2_floor is the lower end of the noise prior's support: 1e-12 of
+    the response variance (1e-12 for a constant response).  A response
+    lying exactly in the column span of X makes the posterior of sigma^2
+    pile up at 0 under the improper 1/sigma^2 prior; bounding the support
+    is invisible for any non-degenerate dataset and keeps the chain
+    finite in the degenerate limit.
+    """
 
     x: np.ndarray
     y: np.ndarray
+    sigma2_floor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.ascontiguousarray(self.x, dtype=float)
@@ -54,6 +83,8 @@ class RegressionData:
             raise ValueError("x and y entries must be finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
+        v = float(np.var(y))
+        object.__setattr__(self, "sigma2_floor", 1e-12 * (v if v > 0.0 else 1.0))
 
     @property
     def n(self) -> int:
@@ -76,11 +107,12 @@ class HorseshoeState:
     def __post_init__(self):
         if self.beta.shape != self.lam.shape:
             raise DimensionMismatch("beta and lam must have the same length")
-        if not (np.all(self.lam > 0.0) and np.all(np.isfinite(self.lam))):
+        # Two reductions and no temporaries: a NaN fails both comparisons.
+        if not (self.lam.min() > 0.0 and self.lam.max() < math.inf):
             raise ValueError("local scales must be finite and positive")
-        if not (self.tau > 0.0 and np.isfinite(self.tau)):
+        if not 0.0 < self.tau < math.inf:
             raise ValueError("tau must be finite and positive")
-        if not (self.sigma2 > 0.0 and np.isfinite(self.sigma2)):
+        if not 0.0 < self.sigma2 < math.inf:
             raise ValueError("sigma2 must be finite and positive")
 
 
@@ -126,28 +158,28 @@ class ChainResult:
     """Kept draws plus per-coordinate summaries.
 
     draws has shape (kept, p); scale_draws has shape (kept, 2) holding
-    (tau, sigma2) pairs.
+    (tau, sigma2) pairs.  tau_acceptance is the share of the n_iter
+    Metropolis proposals for tau, burn-in included, that were accepted.
     """
 
     draws: np.ndarray
     scale_draws: np.ndarray
     summaries: IntervalSummary
+    tau_acceptance: float
 
 
-def update_beta(state: HorseshoeState, data: RegressionData, rng: RngStream) -> np.ndarray:
-    """Exact draw from beta | y, lambda, tau, sigma.
+class TauDraw(NamedTuple):
+    """What update_tau returns.
 
-    The conditional is N(A^-1 X' y, sigma^2 A^-1) with
-    A = X' X + Lambda*^-1, Lambda* = tau^2 diag(lambda^2): sigma times a
-    draw from the structured Gaussian phi = X, D = Lambda*,
-    alpha = y/sigma, whose mean is A^-1 X' y / sigma and covariance
-    A^-1.  sigma cancels from the n x n system X Lambda* X' + I, and
-    X is used as it is, with no n x p copy.
+    factor is the Cholesky factor of M = I + tau^2 X Lambda^2 X' at the
+    returned tau, and q = y' M^-1 y; the sigma^2 and beta draws of the
+    same block read them.
     """
-    sigma = float(np.sqrt(state.sigma2))
-    d = state.tau**2 * (state.lam * state.lam)
-    g = StructuredGaussian(data.x, DiagonalScale(d), data.y / sigma)
-    return sigma * fast_sample(g, rng).theta
+
+    tau: float
+    accepted: bool
+    factor: SpdFactor
+    q: float
 
 
 def update_lambda(state: HorseshoeState, rng: RngStream) -> np.ndarray:
@@ -176,105 +208,155 @@ def update_lambda(state: HorseshoeState, rng: RngStream) -> np.ndarray:
     return 1.0 / np.sqrt(eta_new)
 
 
-def update_tau(state: HorseshoeState, rng: RngStream) -> float:
-    """One slice transition for the global scale.
+def _log_sigma2_integral(q: float, n: int, floor: float) -> float:
+    """log of the integral of sigma^-n exp(-q / (2 sigma^2)) / sigma^2 over
+    sigma^2 in [floor, inf), less the constant (n/2) log 2 + lgamma(n/2).
 
-    In xi = tau^-2 the conditional is
-    p(xi) ~ xi^((p-1)/2) exp(-xi S / (2 sigma^2)) / (1 + xi) with
-    S = sum_j beta_j^2 / lambda_j^2: draw the slice level, then a
-    gamma truncated to (0, bound) by inverse CDF.  When the gamma mass
-    below the bound underflows (including the degenerate S = 0 target),
-    fall back to the small-bound power law bound * u^(2/(p+1)).
+    That is -(n/2) log q + log P(n/2, q / (2 floor)) for the regularized
+    lower incomplete gamma P.  Below x = q / (2 floor) = n/2, where P
+    can underflow, the same value comes from P(a, x) =
+    x^a e^-x M(1, a + 1, x) / Gamma(a + 1) with Kummer's function M;
+    at q = 0, a zero response, that form is the exact limit.
     """
-    p = state.beta.shape[0]
-    xi = 1.0 / (state.tau * state.tau)
-    ratio = state.beta / state.lam
-    rate = float(np.dot(ratio, ratio)) / (2.0 * state.sigma2)
-    shape = 0.5 * (p + 1)
-    s = rng.uniform() / (1.0 + xi)
-    bound = (1.0 - s) / s
-    u = rng.uniform()
-    mass = gammainc(shape, rate * bound)
-    if mass < _CDF_FLOOR:
-        xi_new = bound * u ** (1.0 / shape)
+    a = 0.5 * n
+    x = q / (2.0 * floor)
+    if x > a:
+        return -a * math.log(q) + math.log(gammainc(a, x))
+    return (-a * math.log(2.0 * floor) - x - math.lgamma(a + 1.0)
+            + math.log(hyp1f1(1.0, a + 1.0, x)))
+
+
+def _log_xi_target(k: np.ndarray, data: RegressionData, s: float,
+                   fixed_sigma2: float | None) -> tuple[float, SpdFactor, float]:
+    """update_tau's log target at log xi = s, the factor of M and q."""
+    m = k * math.exp(-s)  # K / xi; upper triangle, as syrk gives it
+    m.ravel()[:: m.shape[0] + 1] += 1.0
+    factor = cholesky(m, overwrite_a=True)
+    z = solve_lower(factor, data.y)
+    q = float(np.dot(z, z))
+    if fixed_sigma2 is None:
+        log_m = _log_sigma2_integral(q, data.n, data.sigma2_floor)
     else:
-        xi_new = float(gammaincinv(shape, u * mass)) / rate
-        if not (xi_new > 0.0 and np.isfinite(xi_new)):
-            xi_new = bound * u ** (1.0 / shape)
-    return float(1.0 / np.sqrt(xi_new))
+        log_m = -0.5 * q / fixed_sigma2
+    log_prior = 0.5 * s - float(np.logaddexp(0.0, s))
+    return -0.5 * factor.log_det + log_m + log_prior, factor, q
 
 
-def _sigma2_floor(data: RegressionData) -> float:
-    """Smallest representable-in-context noise variance.
+def update_tau(data: RegressionData, lam: np.ndarray, tau: float, rng: RngStream,
+               fixed_sigma2: float | None = None) -> TauDraw:
+    """One Metropolis step for the global scale, beta and sigma^2 integrated out.
 
-    A dataset whose response lies exactly in the column span of X makes
-    the posterior of sigma^2 pile up at 0 under the improper 1/sigma^2
-    prior; unchecked, the standardized beta-update system then loses
-    its identity term at float64.  Flooring sigma^2 at 1e-12 of the
-    response variance is invisible for any non-degenerate dataset and
-    keeps the chain finite in the degenerate limit.
+    With xi = tau^-2, M = I + K/xi and K = X Lambda^2 X', y given
+    (lambda, xi, sigma^2) is N(0, sigma^2 M).  The target per unit of
+    log xi is
+
+        -1/2 log |M| + log m(q) + 1/2 log xi - log(1 + xi),
+
+    with q = y' M^-1 y.  log m(q) = -q / (2 sigma^2) when sigma^2 is
+    fixed at fixed_sigma2; otherwise it is the log of the integral over
+    the noise prior's support [data.sigma2_floor, inf)
+    (_log_sigma2_integral).  The last two terms are the half-Cauchy
+    prior of tau with the Jacobian of log xi.  The proposal is
+    log xi + 0.8 z.  K is one SYRK; the target at the current and at
+    the proposed xi each cost one n x n Cholesky factorization and one
+    triangular solve.  Consumes one normal, then one uniform.
     """
-    v = float(np.var(data.y))
-    return 1e-12 * (v if v > 0.0 else 1.0)
+    k = syrk(data.x * lam)
+    s = -2.0 * math.log(tau)
+    current, factor, q = _log_xi_target(k, data, s, fixed_sigma2)
+    s_new = s + _LOG_XI_STEP * float(rng.standard_normal(1)[0])
+    proposed, factor_new, q_new = _log_xi_target(k, data, s_new, fixed_sigma2)
+    if math.log(rng.uniform()) < proposed - current:
+        return TauDraw(math.exp(-0.5 * s_new), True, factor_new, q_new)
+    return TauDraw(tau, False, factor, q)
 
 
-def update_sigma2(state: HorseshoeState, data: RegressionData, rng: RngStream) -> float:
-    """Conjugate inverse-gamma draw for the noise variance.
+def update_sigma2(q: float, data: RegressionData, rng: RngStream) -> float:
+    """Draw sigma^2 | xi, lambda, y with beta integrated out.
 
-    sigma^2 | rest ~ InvGamma((n + p)/2, (|y - X beta|^2 +
-    sum_j beta_j^2 / (tau^2 lambda_j^2)) / 2) under the improper prior
-    1/sigma^2.  The scale is floored at 1e-300 so a perfect fit cannot
-    produce a zero or NaN draw, and the draw itself is floored at a
-    data-relative level (see _sigma2_floor).
+    Under the prior 1/sigma^2 on [f, inf), f = data.sigma2_floor, the
+    conditional is InvGamma(n/2, q/2) truncated to [f, inf), where
+    q = y' M^-1 y comes from update_tau: 1/sigma^2 is Gamma(n/2, rate
+    q/2) truncated to (0, 1/f], drawn by inverse CDF from one uniform u.
+    When that gamma's mass below 1/f underflows, as at q = 0 (a zero
+    response), the draw is the truncated gamma's q -> 0 limit, the
+    power law that gives sigma^2 = f u^(-2/n).
     """
-    resid = data.y - data.x @ state.beta
-    ratio = state.beta / state.lam
-    scale = 0.5 * (float(np.dot(resid, resid)) + float(np.dot(ratio, ratio)) / state.tau**2)
-    scale = max(scale, 1e-300)
-    shape = 0.5 * (data.n + data.p)
-    draw = scale / rng.gamma(shape, 1.0)  # 1/Gamma(shape, rate=scale)
-    if not np.isfinite(draw):
-        draw = 1e300
-    return max(draw, _sigma2_floor(data))
+    a = 0.5 * data.n
+    f = data.sigma2_floor
+    u = rng.uniform()
+    t = float(gammaincinv(a, u * gammainc(a, q / (2.0 * f))))  # t = q / (2 sigma^2)
+    if t > 0.0:
+        return 0.5 * q / t
+    return f * u ** (-1.0 / a)
+
+
+def update_beta(data: RegressionData, lam: np.ndarray, tau: float, sigma2: float,
+                rng: RngStream, factor: SpdFactor | None = None) -> np.ndarray:
+    """Exact draw from beta | y, lambda, tau, sigma.
+
+    The conditional is N(A^-1 X' y, sigma^2 A^-1) with
+    A = X' X + Lambda*^-1, Lambda* = tau^2 diag(lambda^2): sigma times a
+    draw from the structured Gaussian phi = X, D = Lambda*,
+    alpha = y/sigma, whose mean is A^-1 X' y / sigma and covariance
+    A^-1.  sigma cancels from the n x n system M = X Lambda* X' + I, and
+    X is used as it is, with no n x p copy.  ``factor``, if given, is
+    the factor of that M (update_tau returns it), and the draw builds
+    no n x n system of its own.
+    """
+    sigma = math.sqrt(sigma2)
+    d = tau**2 * (lam * lam)
+    g = StructuredGaussian(data.x, DiagonalScale(d), data.y / sigma, factor)
+    return sigma * fast_sample(g, rng).theta
 
 
 def _initial_state(data: RegressionData, cfg: ChainConfig) -> HorseshoeState:
-    if cfg.fixed_sigma is not None:
-        sigma2 = float(cfg.fixed_sigma)
-    else:
-        sigma2 = float(np.var(data.y))
-        if not sigma2 > 0.0:
-            sigma2 = 1.0
+    # beta = 0 makes the first lambda step read neither tau nor sigma^2,
+    # and a sampled sigma^2 is drawn before anything else reads it.
     return HorseshoeState(
         beta=np.zeros(data.p),
         lam=np.ones(data.p),
         tau=1.0,
-        sigma2=sigma2,
+        sigma2=1.0 if cfg.fixed_sigma is None else float(cfg.fixed_sigma),
     )
 
 
 def run_chain(data: RegressionData, cfg: ChainConfig) -> ChainResult:
-    """Systematic-scan Gibbs: beta, lambda, tau, sigma^2 per iteration.
+    """Systematic scan: lambda, then the (tau, sigma^2, beta) block.
 
     The result is a pure function of (data, cfg); all randomness comes
-    from the stream keyed by cfg.seed.
+    from the stream keyed by cfg.seed.  An error raised in an iteration
+    is raised again with the same type and its message prefixed by the
+    iteration (counted from 1) and the block, e.g. ``iteration 37,
+    block tau: ...``; block ``state`` is the check of the new state.
     """
     rng = RngStream(cfg.seed, stream_id=0)
     state = _initial_state(data, cfg)
     kept = cfg.n_kept
     draws = np.empty((kept, data.p))
     scale_draws = np.empty((kept, 2))
+    accepted = 0
     k = 0
     for it in range(1, cfg.n_iter + 1):
-        state = replace(state, beta=update_beta(state, data, rng))
-        state = replace(state, lam=update_lambda(state, rng))
-        state = replace(state, tau=update_tau(state, rng))
-        if cfg.fixed_sigma is None:
-            state = replace(state, sigma2=update_sigma2(state, data, rng))
+        try:
+            block = "lambda"
+            lam = update_lambda(state, rng)
+            block = "tau"
+            step = update_tau(data, lam, state.tau, rng, cfg.fixed_sigma)
+            block = "sigma2"
+            sigma2 = (state.sigma2 if cfg.fixed_sigma is not None
+                      else update_sigma2(step.q, data, rng))
+            block = "beta"
+            beta = update_beta(data, lam, step.tau, sigma2, rng, step.factor)
+            block = "state"
+            state = HorseshoeState(beta=beta, lam=lam, tau=step.tau, sigma2=sigma2)
+        except Exception as exc:
+            raise type(exc)(f"iteration {it}, block {block}: {exc}") from exc
+        accepted += step.accepted
         if it > cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
-            draws[k] = state.beta
-            scale_draws[k, 0] = state.tau
-            scale_draws[k, 1] = state.sigma2
+            draws[k] = beta
+            scale_draws[k, 0] = step.tau
+            scale_draws[k, 1] = sigma2
             k += 1
     assert k == kept
     summaries = IntervalSummary(
@@ -283,4 +365,5 @@ def run_chain(data: RegressionData, cfg: ChainConfig) -> ChainResult:
         lower=np.quantile(draws, 0.025, axis=0),
         upper=np.quantile(draws, 0.975, axis=0),
     )
-    return ChainResult(draws=draws, scale_draws=scale_draws, summaries=summaries)
+    return ChainResult(draws=draws, scale_draws=scale_draws, summaries=summaries,
+                       tau_acceptance=accepted / cfg.n_iter)

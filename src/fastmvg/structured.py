@@ -27,7 +27,7 @@ O(p^3) reference method the fast path is benchmarked against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -170,13 +170,20 @@ class StructuredGaussian:
     Do not mutate phi, alpha or the scale's arrays after construction:
     the kept factor would no longer match them.  A changed D needs a
     new instance (``dataclasses.replace`` gives one with no factor).
+
+    ``_factor`` is private: a caller that has already factored
+    M = Phi D Phi' + I_n (the horseshoe chain's global-scale step does)
+    passes that factor so the instance does not build it again.  Only
+    its order is checked; that it factors this instance's M is the
+    caller's promise.
     """
 
     phi: np.ndarray
     scale: ScaleStructure
     alpha: np.ndarray
+    _factor: InitVar[SpdFactor | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _factor):
         phi = np.ascontiguousarray(self.phi, dtype=float)
         alpha = np.asarray(self.alpha, dtype=float)
         if phi.ndim != 2:
@@ -198,6 +205,10 @@ class StructuredGaussian:
             raise ValueError("alpha entries must be finite")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "alpha", alpha)
+        if _factor is not None:
+            if _factor.dim != n:
+                raise DimensionMismatch(f"factor order {_factor.dim} does not match phi rows {n}")
+            self.__dict__["_coupling_cache"] = _factor
 
     @property
     def n(self) -> int:

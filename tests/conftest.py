@@ -114,13 +114,13 @@ def random_instance(seed, n, p, dense=False) -> StructuredGaussian:
     return StructuredGaussian(phi, scale, alpha)
 
 
-def quadrature_cdf(log_unnorm, hi, n_grid=400001):
-    """Normalized CDF of an unnormalized density on (0, hi) by trapezoid.
+def quadrature_cdf(log_unnorm, hi, n_grid=400001, lo=0.0):
+    """Normalized CDF of an unnormalized density on (lo, hi) by trapezoid.
 
-    Returns (grid, cdf) for interpolation; hi must be far enough into
-    the tail that the truncated mass is negligible.
+    Returns (grid, cdf) for interpolation; lo and hi must be far enough
+    into the tails that the truncated mass is negligible.
     """
-    grid = np.linspace(0.0, hi, n_grid)
+    grid = np.linspace(lo, hi, n_grid)
     with np.errstate(divide="ignore"):
         pdf = np.exp(log_unnorm(grid))
     pdf[~np.isfinite(pdf)] = 0.0
@@ -159,3 +159,53 @@ def small_instance():
 @pytest.fixture(scope="session")
 def reference_stream():
     return RngStream(20240811, stream_id=5)
+
+
+class OneColumnXiTarget:
+    """The xi = tau^-2 target of ``update_tau`` for p = 1, in closed form.
+
+    For x an n-vector and a fixed local scale lam, K = lam^2 x x' has
+    rank one: with c = lam^2 |x|^2, |I + K/xi| = 1 + c/xi and, by
+    Sherman-Morrison, q = y'(I + K/xi)^-1 y = |y|^2 - lam^2 (x'y)^2 / (xi + c).
+    The noise term is m(q) = exp(-q / (2 sigma2)) for a fixed sigma2, and
+    q^(-n/2) with sigma^2 integrated under 1/sigma^2 (the floor of the
+    library's prior is taken as 0, which changes m by far less than
+    float64 resolution for the data used here).  The density per unit xi
+    is then (xi + c)^(-1/2) m(q) / (1 + xi).
+    """
+
+    def __init__(self, x, y, lam=1.0, sigma2=None):
+        self.x, self.y = np.asarray(x, float), np.asarray(y, float)
+        self.lam, self.sigma2 = float(lam), sigma2
+        self.c = self.lam**2 * float(self.x @ self.x)
+        self.xy2 = self.lam**2 * float(self.x @ self.y) ** 2
+        self.yy = float(self.y @ self.y)
+        self.q_min = self.yy - self.xy2 / self.c  # the residual of y on x
+
+    def q(self, xi):
+        return self.yy - self.xy2 / (xi + self.c)
+
+    def log_m(self, q):
+        if self.sigma2 is None:
+            return -0.5 * self.y.size * np.log(q)
+        return -0.5 * q / self.sigma2
+
+    def log_density_log_xi(self, s):
+        """Unnormalized log density of s = log xi."""
+        xi = np.exp(s)
+        return -0.5 * np.log(xi + self.c) + self.log_m(self.q(xi)) - np.log1p(xi) + s
+
+    def sample(self, gen, n_draws):
+        """Exact draws of xi by rejection from the Lomax density (1 + xi)^(-3/2) / 2.
+
+        The ratio of target to proposal is proportional to
+        sqrt((1 + xi) / (xi + c)) m(q), which is at most
+        max(1, c^(-1/2)) m(q_min): m decreases in q and q >= q_min.
+        """
+        bound = max(1.0, 1.0 / np.sqrt(self.c))
+        return rejection_sample(
+            gen, n_draws,
+            propose=lambda g, k: (1.0 - g.random(k)) ** -2.0 - 1.0,
+            accept_prob=lambda xi: (np.sqrt((1.0 + xi) / (xi + self.c)) / bound
+                                    * np.exp(self.log_m(self.q(xi)) - self.log_m(self.q_min))),
+        )

@@ -10,7 +10,7 @@ succeeds (run pytest with -s to see them inline).
  4. augmentation identities (block decomposition, cross-covariance)
  5. complexity scaling slopes and speedup
  6. log-density vs dense evaluation
- 7. slice-sampler one-transition stationarity
+ 7. scale-update one-transition stationarity (lambda slice, tau Metropolis)
  8. horseshoe coverage study at desk scale
  9. CLI reproducibility with fixed seeds
 """
@@ -32,6 +32,7 @@ from fastmvg import (
 from fastmvg.cli import main
 
 from conftest import (
+    OneColumnXiTarget,
     QueuedStream,
     dense_d_matrix,
     dense_log_density,
@@ -207,12 +208,12 @@ def test_c6_log_density():
 
 
 def test_c7_slice_stationarity():
-    from fastmvg import HorseshoeState, update_lambda, update_tau
+    from fastmvg import HorseshoeState, RegressionData, update_lambda, update_tau
 
     n_states = 100_000
     gen = np.random.default_rng(707)
 
-    # Local scales: m_j = 1 target exp(-eta) / (1 + eta).
+    # Local scales (slice): m_j = 1 target exp(-eta) / (1 + eta).
     eta0 = rejection_sample(
         gen, n_states,
         propose=lambda g, k: g.exponential(1.0, size=k),
@@ -227,22 +228,19 @@ def test_c7_slice_stationarity():
     ks_lambda = ks_statistic(eta1, grid_l, cdf_l)
     assert ks_lambda < 0.01, f"lambda KS {ks_lambda:.4f}"
 
-    # Global scale: p = 1 target exp(-xi/2) / (1 + xi).
-    xi0 = rejection_sample(
-        gen, n_states,
-        propose=lambda g, k: g.exponential(2.0, size=k),
-        accept_prob=lambda c: 1.0 / (1.0 + c),
-    )
+    # Global scale (Metropolis, beta and sigma^2 integrated out): the
+    # fixed problem n = 2, p = 1, lam = 1, target in closed form.
+    x, y = np.array([1.0, 0.5]), np.array([1.0, -0.3])
+    target = OneColumnXiTarget(x, y)
+    xi0 = target.sample(gen, n_states)
+    data = RegressionData(x[:, None], y)
     rng = RngStream(709, 0)
     one = np.ones(1)
-    xi1 = np.empty(n_states)
-    for i, xi in enumerate(xi0):
-        st = HorseshoeState(beta=one, lam=one, tau=1.0 / np.sqrt(xi), sigma2=1.0)
-        xi1[i] = 1.0 / update_tau(st, rng) ** 2
-    grid_t, cdf_t = quadrature_cdf(lambda t: -t / 2 - np.log1p(t), hi=100.0)
-    ks_tau = ks_statistic(xi1, grid_t, cdf_t)
+    xi1 = np.array([update_tau(data, one, 1.0 / np.sqrt(xi), rng).tau ** -2.0 for xi in xi0])
+    grid_t, cdf_t = quadrature_cdf(target.log_density_log_xi, lo=-40.0, hi=40.0)
+    ks_tau = ks_statistic(np.log(xi1), grid_t, cdf_t)
     assert ks_tau < 0.01, f"tau KS {ks_tau:.4f}"
-    print(f"\nACCEPTANCE 7 (slice stationarity): PASS - "
+    print(f"\nACCEPTANCE 7 (scale-update stationarity): PASS - "
           f"lambda KS {ks_lambda:.4f}, tau KS {ks_tau:.4f}")
 
 

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from fastmvg import DiagonalScale, RngStream, StructuredGaussian, fast_sample
+import fastmvg.cli as cli
+import fastmvg.horseshoe as horseshoe
+from fastmvg import (
+    DiagonalScale,
+    NotPositiveDefinite,
+    RngStream,
+    StructuredGaussian,
+    fast_sample,
+)
 from fastmvg.blas import OpenBlas, bundled_openblas
 from fastmvg.cli import main
 
@@ -247,6 +255,29 @@ class TestFit:
         assert main(["fit", xp, yp, "--iters", "20", "--burnin", "5",
                      "--out", str(prefix)]) == 2
         assert f"{prefix}_summary.csv" in capsys.readouterr().err
+
+
+    def test_unwritable_out_fails_before_chain(self, tmp_path, monkeypatch, capsys):
+        def no_chain(data, cfg):
+            raise AssertionError("run_chain called before the output was checked")
+
+        monkeypatch.setattr(cli, "run_chain", no_chain)
+        xp = write(tmp_path / "x.csv", "1\n0.5\n-0.5\n")
+        yp = write(tmp_path / "y.csv", "1\n0.4\n-0.6\n")
+        prefix = tmp_path / "missing" / "fit"
+        assert main(["fit", xp, yp, "--out", str(prefix)]) == 2
+        assert f"{prefix}_summary.csv: cannot write" in capsys.readouterr().err
+
+    def test_chain_error_names_iteration_and_block_exit_4(self, tmp_path, monkeypatch, capsys):
+        def failing(*args):
+            raise NotPositiveDefinite("forced")
+
+        monkeypatch.setattr(horseshoe, "update_tau", failing)
+        xp = write(tmp_path / "x.csv", "1\n0.5\n-0.5\n")
+        yp = write(tmp_path / "y.csv", "1\n0.4\n-0.6\n")
+        assert main(["fit", xp, yp, "--iters", "20", "--burnin", "5",
+                     "--out", str(tmp_path / "fit")]) == 4
+        assert "chain failed: iteration 1, block tau: forced" in capsys.readouterr().err
 
 
 class TestSimulate:

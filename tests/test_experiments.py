@@ -31,6 +31,7 @@ def summary_result(mean, median=None, lower=None, upper=None):
         draws=np.zeros((1, p)),
         scale_draws=np.zeros((1, 2)),
         summaries=IntervalSummary(mean=mean, median=median, lower=lower, upper=upper),
+        tau_acceptance=1.0,
     )
 
 

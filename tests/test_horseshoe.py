@@ -1,13 +1,18 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
+from scipy.special import gammainc
 
+import fastmvg.horseshoe as horseshoe
 from fastmvg import (
     ChainConfig,
     ConfigError,
     DiagonalScale,
     HorseshoeState,
+    NotPositiveDefinite,
     RegressionData,
     RngStream,
     StructuredGaussian,
@@ -19,6 +24,7 @@ from fastmvg import (
 )
 
 from conftest import (
+    OneColumnXiTarget,
     QueuedStream,
     ks_statistic,
     quadrature_cdf,
@@ -43,19 +49,17 @@ class TestUpdateBeta:
         n, p = 2, 3
         data = RegressionData(np.zeros((n, p)), np.array([1.0, -2.0]))
         lam = np.array([0.5, 1.0, 2.0])
-        state = make_state(np.zeros(p), lam, tau=0.7, sigma2=4.0)
         z_p = np.array([1.0, -1.0, 2.0])
         z_n = np.zeros(n)
-        beta = update_beta(state, data, QueuedStream(normals=[z_p, z_n]))
+        beta = update_beta(data, lam, 0.7, 4.0, QueuedStream(normals=[z_p, z_n]))
         np.testing.assert_allclose(beta, 2.0 * 0.7 * lam * z_p, rtol=1e-12)
 
     def test_unit_instance_posterior_mean(self):
         # Single informative row (plus a zero row to satisfy n >= 2):
         # A = 1 + 1 = 2, so with u = delta = 0 the draw is the mean 1/2.
         data = RegressionData(np.array([[1.0], [0.0]]), np.array([1.0, 0.0]))
-        state = make_state([0.0], [1.0])
         stub = QueuedStream(normals=[np.zeros(1), np.zeros(2)])
-        beta = update_beta(state, data, stub)
+        beta = update_beta(data, np.ones(1), 1.0, 1.0, stub)
         np.testing.assert_allclose(beta, [0.5], rtol=1e-14)
 
     def test_moments_match_dense_conditional(self):
@@ -66,9 +70,8 @@ class TestUpdateBeta:
         y = gen.standard_normal(n)
         data = RegressionData(x, y)
         lam = gen.uniform(0.5, 2.0, p)
-        state = make_state(np.zeros(p), lam, tau=0.8, sigma2=1.5)
 
-        a = x.T @ x + np.diag(1.0 / (state.tau**2 * lam**2))
+        a = x.T @ x + np.diag(1.0 / (0.8**2 * lam**2))
         cov = 1.5 * np.linalg.inv(a)
         mu = np.linalg.solve(a, x.T @ y)
         chol = np.linalg.cholesky(cov)
@@ -77,7 +80,7 @@ class TestUpdateBeta:
         rng = RngStream(5, 0)
         draws = np.empty((n_draws, p))
         for i in range(n_draws):
-            draws[i] = update_beta(state, data, rng)
+            draws[i] = update_beta(data, lam, 0.8, 1.5, rng)
         oracle = mu + gen.standard_normal((n_draws, p)) @ chol.T
 
         var = np.diagonal(cov)
@@ -97,9 +100,9 @@ class TestUpdateBeta:
         y = gen.standard_normal(n)
         lam = gen.uniform(0.2, 3.0, p)
         sigma2, tau = 2.25, 0.7
-        state = make_state(np.zeros(p), lam, tau=tau, sigma2=sigma2)
         z_p, z_n = gen.standard_normal(p), gen.standard_normal(n)
-        beta = update_beta(state, RegressionData(x, y), QueuedStream(normals=[z_p, z_n]))
+        beta = update_beta(RegressionData(x, y), lam, tau, sigma2,
+                           QueuedStream(normals=[z_p, z_n]))
 
         sigma = np.sqrt(sigma2)
         d = sigma2 * tau**2 * lam**2
@@ -107,18 +110,33 @@ class TestUpdateBeta:
         np.testing.assert_allclose(beta, woodbury_theta(g, np.sqrt(d) * z_p, z_n),
                                    rtol=1e-10)
 
+    def test_kept_factor_gives_the_same_draw(self):
+        # The factor update_tau returns is that of the beta-draw's own
+        # system: drawing on it equals building the system afresh.
+        gen = np.random.default_rng(19)
+        n, p = 6, 15
+        data = RegressionData(gen.standard_normal((n, p)), gen.standard_normal(n))
+        lam = gen.uniform(0.2, 3.0, p)
+        step = update_tau(data, lam, 0.7, QueuedStream(normals=[[0.3]], uniforms=[0.5]))
+        assert step.accepted
+        z_p, z_n = gen.standard_normal(p), gen.standard_normal(n)
+        kept = update_beta(data, lam, step.tau, 2.25, QueuedStream(normals=[z_p, z_n]),
+                           step.factor)
+        fresh = update_beta(data, lam, step.tau, 2.25, QueuedStream(normals=[z_p, z_n]))
+        np.testing.assert_allclose(kept, fresh, rtol=1e-12, atol=1e-14)
+
     def test_allocates_at_most_one_n_by_p_temporary(self):
         # After a warm call, a draw at p >> n may allocate B = X Lambda*^{1/2}
         # and nothing else of size n x p: no X/sigma copy, no kept Phi D.
         gen = np.random.default_rng(18)
         n, p = 20, 20000
         data = RegressionData(gen.standard_normal((n, p)), gen.standard_normal(n))
-        state = make_state(np.zeros(p), gen.uniform(0.5, 2.0, p), tau=0.5, sigma2=2.0)
+        lam = gen.uniform(0.5, 2.0, p)
         rng = RngStream(6, 0)
-        update_beta(state, data, rng)
+        update_beta(data, lam, 0.5, 2.0, rng)
         tracemalloc.start()
         try:
-            update_beta(state, data, rng)
+            update_beta(data, lam, 0.5, 2.0, rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -170,84 +188,149 @@ class TestUpdateLambda:
         assert np.all(np.isfinite(lam)) and np.all(lam > 0)
 
 
+# The fixed tiny problem of the global-scale tests: n = 2, p = 1, lam = 1.
+TINY_X = np.array([1.0, 0.5])
+TINY_Y = np.array([1.0, -0.3])
+
+
+def dense_log_xi_target(data, lam, xi, sigma2=None):
+    """update_tau's log target per unit log xi, from a dense slogdet and solve."""
+    n = data.n
+    m = np.eye(n) + data.x @ np.diag(lam**2) @ data.x.T / xi
+    _, logdet = np.linalg.slogdet(m)
+    q = data.y @ np.linalg.solve(m, data.y)
+    if sigma2 is None:
+        log_m = -0.5 * n * np.log(q) + np.log(gammainc(0.5 * n, q / (2 * data.sigma2_floor)))
+    else:
+        log_m = -0.5 * q / sigma2
+    return -0.5 * logdet + log_m + 0.5 * np.log(xi) - np.log1p(xi)
+
+
 class TestUpdateTau:
-    def test_slice_bound_respected(self):
-        # With xi = 1 and stubbed s = 0.5 the bound is 1; the new xi
-        # always lands inside (0, 1).
-        state = make_state([1.0], [1.0], tau=1.0)
-        for u in (0.001, 0.25, 0.5, 0.75, 0.999):
-            tau_new = update_tau(state, QueuedStream(uniforms=[1.0, u]))
-            xi_new = 1.0 / tau_new**2
-            assert 0.0 < xi_new < 1.0
+    def test_accept_and_reject_pinned(self):
+        # The proposal is log xi + 0.8 z; it is accepted exactly when
+        # log u < target(xi') - target(xi), targets from the dense oracle.
+        # u just below and just above exp(delta) pins the comparison, and
+        # the returned factor and q are those of M at the returned tau.
+        data = RegressionData(np.array([[1.0, 0.3], [0.5, -1.0], [0.2, 0.4]]),
+                              np.array([1.0, -0.3, 0.6]))
+        lam, tau, z = np.array([0.7, 1.4]), 0.8, 1.5
+        xi = tau**-2.0
+        xi_new = xi * np.exp(0.8 * z)
+        for sigma2 in (None, 0.5):
+            delta = (dense_log_xi_target(data, lam, xi_new, sigma2)
+                     - dense_log_xi_target(data, lam, xi, sigma2))
+            assert delta < -0.01  # oracle sanity: this move is downhill
+            cases = [(np.exp(delta) * (1 - 1e-9), True, xi_new**-0.5),
+                     (np.exp(delta) * (1 + 1e-9), False, tau)]
+            for u, accepted, tau_out in cases:
+                step = update_tau(data, lam, tau, QueuedStream(normals=[[z]], uniforms=[u]),
+                                  sigma2)
+                assert step.accepted is accepted
+                assert step.tau == pytest.approx(tau_out, rel=1e-12)
+                m = np.eye(3) + tau_out**2 * data.x @ np.diag(lam**2) @ data.x.T
+                lower = np.tril(step.factor.lower)
+                np.testing.assert_allclose(lower @ lower.T, m, rtol=1e-12, atol=1e-14)
+                assert step.q == pytest.approx(data.y @ np.linalg.solve(m, data.y), rel=1e-12)
+        # A zero step always has delta = 0: u < 1 accepts, u = 1 does not.
+        for u, accepted in ((0.5, True), (1.0, False)):
+            step = update_tau(data, lam, tau, QueuedStream(normals=[[0.0]], uniforms=[u]))
+            assert step.accepted is accepted and step.tau == pytest.approx(tau, rel=1e-15)
 
     def test_one_transition_invariance(self):
-        # p = 1, beta = lam = sigma = 1: target ~ e^(-xi/2) / (1 + xi).
-        n_states = 100_000
-        gen = np.random.default_rng(31)
-        xi0 = rejection_sample(
-            gen,
-            n_states,
-            propose=lambda g, k: g.exponential(2.0, size=k),
-            accept_prob=lambda c: 1.0 / (1.0 + c),
-        )
+        # sigma^2 fixed at 0.5 (C7 checks the sampled-sigma^2 target):
+        # 1e5 exact draws of xi, one transition each, must keep the
+        # quadrature CDF of log xi.
+        target = OneColumnXiTarget(TINY_X, TINY_Y, sigma2=0.5)
+        xi0 = target.sample(np.random.default_rng(31), 100_000)
+        data = RegressionData(TINY_X[:, None], TINY_Y)
         rng = RngStream(32, 0)
-        xi1 = np.empty(n_states)
-        for i, xi in enumerate(xi0):
-            state = make_state([1.0], [1.0], tau=1.0 / np.sqrt(xi))
-            xi1[i] = 1.0 / update_tau(state, rng) ** 2
-        grid, cdf = quadrature_cdf(lambda t: -t / 2 - np.log1p(t), hi=100.0)
-        assert ks_statistic(xi0, grid, cdf) < 0.01
-        assert ks_statistic(xi1, grid, cdf) < 0.01
+        one = np.ones(1)
+        xi1 = np.array([update_tau(data, one, 1.0 / np.sqrt(v), rng, 0.5).tau ** -2.0
+                        for v in xi0])
+        grid, cdf = quadrature_cdf(target.log_density_log_xi, lo=-40.0, hi=40.0)
+        assert ks_statistic(np.log(xi0), grid, cdf) < 0.01  # oracle sanity
+        assert ks_statistic(np.log(xi1), grid, cdf) < 0.01
 
     def test_long_run_mean_matches_quadrature(self):
-        # 2e5 sequential transitions at fixed (beta, lam, sigma); the
-        # ergodic mean of xi must match the quadrature mean, with the
+        # 2e5 sequential transitions at fixed (lam, data), sigma^2
+        # integrated out; the ergodic mean of log xi (xi itself has no
+        # mean under the half-Cauchy) must match quadrature, with the
         # Monte Carlo error taken from batch means.
-        grid = np.linspace(0.0, 120.0, 400001)
-        pdf = np.exp(-grid / 2) / (1 + grid)
+        target = OneColumnXiTarget(TINY_X, TINY_Y)
+        grid = np.linspace(-40.0, 40.0, 400001)
+        pdf = np.exp(target.log_density_log_xi(grid))
         target_mean = np.trapezoid(grid * pdf, grid) / np.trapezoid(pdf, grid)
 
+        data = RegressionData(TINY_X[:, None], TINY_Y)
+        one = np.ones(1)
         n_steps = 200_000
         rng = RngStream(33, 0)
-        xi = np.empty(n_steps)
+        log_xi = np.empty(n_steps)
         tau = 1.0
-        state = make_state([1.0], [1.0], tau=tau)
         for i in range(n_steps):
-            tau = update_tau(state, rng)
-            state = make_state([1.0], [1.0], tau=tau)
-            xi[i] = 1.0 / tau**2
-        batches = xi.reshape(400, 500).mean(axis=1)
+            tau = update_tau(data, one, tau, rng).tau
+            log_xi[i] = -2.0 * np.log(tau)
+        batches = log_xi.reshape(400, 500).mean(axis=1)
         se = batches.std(ddof=1) / np.sqrt(batches.size)
-        assert abs(xi.mean() - target_mean) < 4 * se
+        assert abs(log_xi.mean() - target_mean) < 4 * se
 
     def test_degenerate_zero_signal_falls_back(self):
-        # S = 0 makes the gamma rate zero; the draw must still land in
-        # the slice interval via the power-law limit.
-        state = make_state([0.0, 0.0], [1.0, 1.0], tau=1.0)
+        # y = 0 gives q = 0 at every xi; the sigma^2 integral takes its
+        # closed-form limit and the draw stays finite and positive.
+        data = RegressionData(np.array([[1.0, 0.5], [0.2, -1.0], [0.3, 0.3]]), np.zeros(3))
         for seed in range(5):
-            tau_new = update_tau(state, RngStream(40 + seed, 0))
-            assert np.isfinite(tau_new) and tau_new > 0.0
+            step = update_tau(data, np.ones(2), 1.0, RngStream(40 + seed, 0))
+            assert np.isfinite(step.tau) and step.tau > 0.0
+            assert step.q == 0.0
 
 
 class TestUpdateSigma2:
     def test_conjugate_moments(self):
-        # X = 0, y = (2, 0), beta = 0: sigma^2 ~ InvGamma(3/2, 2), so
-        # 1/sigma^2 ~ Gamma(3/2, rate 2) with mean 3/4.
-        data = RegressionData(np.zeros((2, 1)), np.array([2.0, 0.0]))
-        state = make_state([0.0], [1.0])
+        # n = 3, q = 4: sigma^2 ~ InvGamma(3/2, 2), the floor 1e-12 var(y)
+        # is invisible, so 1/sigma^2 ~ Gamma(3/2, rate 2) with mean 3/4.
+        data = RegressionData(np.zeros((3, 1)), np.array([2.0, 0.0, 0.0]))
         rng = RngStream(50, 0)
         n_draws = 200_000
-        inv = np.array([1.0 / update_sigma2(state, data, rng) for _ in range(n_draws)])
+        inv = np.array([1.0 / update_sigma2(4.0, data, rng) for _ in range(n_draws)])
         se = np.sqrt(1.5 / 4.0 / n_draws)
         assert abs(inv.mean() - 0.75) < 4 * se
 
     def test_degenerate_residual_guarded(self):
-        # Perfect fit with beta = 0 and y = 0: the scale floor keeps the
-        # draw finite and positive.
+        # q = 0 (y = 0): the truncated gamma's limit, sigma^2 = f u^(-2/n)
+        # with f = 1e-12 for a constant response; finite and positive.
         data = RegressionData(np.zeros((2, 1)), np.zeros(2))
-        state = make_state([0.0], [1.0])
-        s2 = update_sigma2(state, data, RngStream(51, 0))
-        assert np.isfinite(s2) and s2 > 0.0
+        assert update_sigma2(0.0, data, QueuedStream(uniforms=[0.25])) == \
+            pytest.approx(4e-12, rel=1e-15)
+        s2 = update_sigma2(0.0, data, RngStream(51, 0))
+        assert np.isfinite(s2) and s2 >= 1e-12
+
+    def test_truncated_at_floor(self):
+        # n = 4, q = 2 and a floor f = 0.25 that cuts 9% of the mass:
+        # P(sigma^2 <= s) = 1 - P(2, 1/s) / P(2, 4) for s >= f.
+        y = 5e5 * np.array([1.0, -1.0, 1.0, -1.0])  # var(y) = 2.5e11, f = 0.25
+        data = RegressionData(np.zeros((4, 1)), y)
+        assert data.sigma2_floor == pytest.approx(0.25, rel=1e-12)
+        rng = RngStream(52, 0)
+        draws = np.array([update_sigma2(2.0, data, rng) for _ in range(100_000)])
+        assert draws.min() >= 0.25
+        grid = np.linspace(0.25, 1e4, 2_000_001)
+        cdf = 1.0 - gammainc(2.0, 1.0 / grid) / gammainc(2.0, 4.0)
+        assert ks_statistic(draws, grid, cdf) < 0.01
+
+    def test_sigma2_integral_limits(self):
+        # The two forms of the integral agree where they meet (x = n/2),
+        # and q = 0 gives the closed form -(n/2) log(2f) - lgamma(n/2 + 1).
+        f = 1e-3
+        for n in (2, 3, 20, 100):
+            a = 0.5 * n
+            q_edge = 2 * f * a
+            inner = horseshoe._log_sigma2_integral(q_edge, n, f)
+            outer = horseshoe._log_sigma2_integral(q_edge * (1 + 1e-12), n, f)
+            assert outer == pytest.approx(inner, abs=1e-9)
+            closed = -a * math.log(2 * f) - math.lgamma(a + 1)
+            assert horseshoe._log_sigma2_integral(0.0, n, f) == pytest.approx(closed, rel=1e-15)
+            assert horseshoe._log_sigma2_integral(1e-12 * f, n, f) == pytest.approx(closed, abs=1e-9)
 
 
 class TestRunChain:
@@ -303,6 +386,101 @@ class TestRunChain:
         result = run_chain(data, ChainConfig(n_iter=800, burn_in=200, seed=2))
         assert abs(result.summaries.mean[0] - 2.0) < 0.5
         assert np.all(np.abs(result.summaries.mean[1:]) < 0.5)
+
+    def test_span_response_with_p_below_n_stays_finite(self):
+        # C9's fit input, y = 2 X[:, 0] at 20 x 10, for C9's 400
+        # iterations: y lies in the span of X with p < n, so the posterior
+        # of sigma^2 presses against the prior's floor.  Clamping the
+        # sigma^2 draw at the floor instead of integrating over
+        # [floor, inf) lets tau run off and fails here before iteration
+        # 100.  (Chains of some thousand iterations on this input still
+        # fail to factor M, at the parent too: ROADMAP item 5.)
+        gen = np.random.default_rng(0)
+        x = gen.standard_normal((20, 10))
+        data = RegressionData(x, 2.0 * x[:, 0])
+        result = run_chain(data, ChainConfig(n_iter=400, burn_in=100, seed=9))
+        assert np.all(np.isfinite(result.scale_draws))
+        assert np.all(result.scale_draws[:, 1] >= data.sigma2_floor)
+        assert abs(result.summaries.mean[0] - 2.0) < 1e-3
+
+    def test_reports_tau_acceptance(self, monkeypatch):
+        # Two iterations with queued draws: the first tau proposal is
+        # accepted (zero step, u = 0.5), the second rejected (zero step,
+        # u = 1), so the reported acceptance is 1/2.
+        data = RegressionData(np.array([[1.0], [0.5]]), np.array([1.0, -0.3]))
+        stream = QueuedStream(
+            # per iteration: tau's z, then beta's p and n normals
+            normals=[[0.0], [0.1], [0.2, -0.2]] * 2,
+            # per iteration: lambda's two vectors, tau's u, sigma^2's u
+            uniforms=[0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 1.0, 0.5],
+        )
+        monkeypatch.setattr(horseshoe, "RngStream", lambda seed, stream_id: stream)
+        result = run_chain(data, ChainConfig(n_iter=2, burn_in=1, seed=0))
+        assert result.tau_acceptance == 0.5
+        assert not stream._normals and not stream._uniforms
+
+    def test_error_names_iteration_and_block(self, monkeypatch):
+        # A block that raises at iteration 3: the chain raises the same
+        # type, with the iteration and the block in the message.
+        calls = []
+        real = horseshoe.update_sigma2
+
+        def failing(q, data, rng):
+            calls.append(q)
+            if len(calls) == 3:
+                raise NotPositiveDefinite("boom")
+            return real(q, data, rng)
+
+        monkeypatch.setattr(horseshoe, "update_sigma2", failing)
+        with pytest.raises(NotPositiveDefinite, match=r"^iteration 3, block sigma2: boom$") as info:
+            run_chain(self.small_data(), ChainConfig(n_iter=10, burn_in=1, seed=1))
+        assert isinstance(info.value.__cause__, NotPositiveDefinite)
+
+    def test_joint_scale_marginal_matches_quadrature(self):
+        # n = 3, p = 1, sigma^2 sampled: the kept (tau, sigma^2) draws of a
+        # long chain against the 2-D quadrature marginal, which integrates
+        # the half-Cauchy lambda on a grid.  Each statistic must lie within
+        # 4 batch-means standard errors (100 batches) of its quadrature
+        # value: the means of log tau and log sigma^2, and the marginal and
+        # joint probabilities of falling below grid points near the medians.
+        x = np.array([1.0, 0.5, -0.4])
+        y = np.array([1.0, -0.3, 0.8])
+        n = 3
+        a = np.linspace(-16.0, 10.0, 521)  # log tau
+        c = a.copy()  # log lambda
+        b = np.linspace(-8.0, 16.0, 481)  # log sigma^2
+        xx, xy2, yy = x @ x, (x @ y) ** 2, y @ y
+        log_prior_c = c - np.log1p(np.exp(2 * c))  # half-Cauchy in log lambda
+        w = np.empty((a.size, b.size))
+        for i, ai in enumerate(a):
+            t = np.exp(2 * (ai + c))[:, None]  # tau^2 lambda^2
+            q = yy - t * xy2 / (1 + t * xx)
+            log_lik = -0.5 * n * b - 0.5 * np.log1p(t * xx) - 0.5 * q * np.exp(-b)
+            log_post = log_lik + log_prior_c[:, None] + ai - np.log1p(np.exp(2 * ai))
+            w[i] = np.trapezoid(np.exp(log_post), c, axis=0)
+        w /= np.trapezoid(np.trapezoid(w, b, axis=1), a)
+        pa, pb = np.trapezoid(w, b, axis=1), np.trapezoid(w, a, axis=0)
+        cdf_a = cumulative_trapezoid(pa, a, initial=0.0)
+        cdf_b = cumulative_trapezoid(pb, b, initial=0.0)
+        ia, ib = int(np.searchsorted(cdf_a, 0.5)), int(np.searchsorted(cdf_b, 0.5))
+        joint = np.trapezoid(cumulative_trapezoid(w, b, axis=1, initial=0.0)[: ia + 1, ib],
+                             a[: ia + 1])
+
+        data = RegressionData(x[:, None], y)
+        result = run_chain(data, ChainConfig(n_iter=51_000, burn_in=1_000, seed=3))
+        log_tau, log_s2 = np.log(result.scale_draws.T)
+        below_a, below_b = log_tau <= a[ia], log_s2 <= b[ib]
+        checks = {
+            "E log tau": (log_tau, np.trapezoid(a * pa, a)),
+            "E log sigma2": (log_s2, np.trapezoid(b * pb, b)),
+            "P(log tau <= a0)": (below_a, cdf_a[ia]),
+            "P(log sigma2 <= b0)": (below_b, cdf_b[ib]),
+            "P(both)": (below_a & below_b, joint),
+        }
+        for name, (values, expected) in checks.items():
+            batches = values.astype(float).reshape(100, -1).mean(axis=1)
+            se = batches.std(ddof=1) / np.sqrt(batches.size)
+            assert abs(batches.mean() - expected) < 4 * se, name
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

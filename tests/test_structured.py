@@ -346,6 +346,31 @@ class TestKeptFactor:
         np.testing.assert_array_equal(draw.delta, delta)
         np.testing.assert_allclose(draw.theta, woodbury_theta(g, draw.u, delta), rtol=1e-10)
 
+    def test_supplied_factor_is_used_and_not_copied_by_replace(self, monkeypatch):
+        # A factor passed at construction is the one every draw solves
+        # against: no factorization runs, and the draw equals one on an
+        # instance that built the same factor itself.  replace() gives
+        # an instance without it, and a factor of the wrong order raises.
+        g = random_instance(88, n=4, p=9)
+        m = g.phi @ np.diag(g.scale.d) @ g.phi.T + np.eye(4)
+        supplied = StructuredGaussian(g.phi, g.scale, g.alpha, cholesky(m))
+        calls = []
+        real = structured.cholesky
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(structured, "cholesky", counting)
+        got = fast_sample(supplied, RngStream(6, 0)).theta
+        assert calls == []
+        np.testing.assert_allclose(got, fast_sample(g, RngStream(6, 0)).theta, rtol=1e-12)
+        assert calls == [(4, 4)]
+        posterior_mean(replace(supplied))
+        assert calls == [(4, 4), (4, 4)]
+        with pytest.raises(DimensionMismatch):
+            StructuredGaussian(g.phi, g.scale, g.alpha, cholesky(np.eye(3)))
+
     def test_shared_instance_across_threads(self):
         # Threads that race to build one instance's factor must each get
         # the draws a single thread gets from the same stream.
