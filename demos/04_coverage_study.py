@@ -11,7 +11,7 @@ design = SimDesign(n=100, p=250, sigma=1.5, cov_kind="independent",
                    signal_set="strong", sparsity=5, n_replicates=5)
 cfg = ChainConfig(n_iter=2000, burn_in=500, seed=2024,
                   fixed_sigma=design.sigma**2)
-run = run_replicates(design, cfg, threads=2)
+run = run_replicates(design, cfg)
 
 print(f"{design.n_replicates} replicates of n={design.n}, p={design.p}, "
       f"{design.cov_kind} design, {design.signal_set} signals\n")

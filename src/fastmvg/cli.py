@@ -202,9 +202,12 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
             fixed_sigma=None if args.sample_sigma else args.sigma**2,
         )
-        run = run_replicates(design, cfg, threads=args.threads)
     except ConfigError as exc:
         raise CliInputError(str(exc)) from exc
+    _check_writable(args.out)
+    run = run_replicates(design, cfg)
+    for i, msg in run.failures:
+        print(f"warning: replicate {i} failed: {msg}", file=sys.stderr)
     _write_text(args.out, render_replicates_csv(run))
     return EXIT_OK
 
@@ -222,6 +225,7 @@ def _parse_grid(text: str, name: str) -> list[int]:
 def cmd_bench(args) -> int:
     n_grid = _parse_grid(args.n_grid, "--n-grid")
     p_grid = _parse_grid(args.p_grid, "--p-grid")
+    _check_writable(args.out)
     try:
         result = run_bench(n_grid, p_grid, repetitions=args.reps, seed=args.seed)
     except ConfigError as exc:
@@ -276,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--burnin", type=int, default=1000)
     p_sim.add_argument("--thin", type=int, default=1)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--threads", type=int, default=1)
     p_sim.add_argument("--sample-sigma", action="store_true",
                        help="sample sigma^2 in the chains instead of fixing it "
                             "at the design value")

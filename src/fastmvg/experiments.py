@@ -16,7 +16,6 @@ is checked without hardware-specific constants.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -188,25 +187,20 @@ def _fit_replicate(design: SimDesign, cfg: ChainConfig, index: int) -> Replicate
     return compute_metrics(result, beta0, x)
 
 
-def run_replicates(design: SimDesign, cfg: ChainConfig, threads: int = 1) -> ReplicateRun:
-    """Independent replicates of the simulation design.
+def run_replicates(design: SimDesign, cfg: ChainConfig) -> ReplicateRun:
+    """Independent replicates of the simulation design, run in order.
 
     Replicate i draws its data from stream 2i+1 of cfg.seed and runs
-    its chain under a sub-seed derived from (cfg.seed, i), so results
-    do not depend on thread count or completion order.  A failed
-    replicate is recorded and excluded from the aggregate.
+    its chain under a sub-seed derived from (cfg.seed, i), so its result
+    depends on (cfg.seed, i) alone.  A failed replicate is recorded and
+    excluded from the aggregate.
     """
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
     metrics: list[ReplicateMetrics] = []
     indices: list[int] = []
     failures: list[tuple[int, str]] = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_fit_replicate, design, cfg, i)
-                   for i in range(design.n_replicates)]
-    for i, fut in enumerate(futures):
+    for i in range(design.n_replicates):
         try:
-            metrics.append(fut.result())
+            metrics.append(_fit_replicate(design, cfg, i))
             indices.append(i)
         except Exception as exc:  # noqa: BLE001 - recorded, not fatal
             failures.append((i, f"{type(exc).__name__}: {exc}"))
@@ -232,7 +226,7 @@ def render_replicates_csv(run: ReplicateRun) -> str:
         ses = ",".join(format(run.aggregate[name][1], ".17g") for name in METRIC_FIELDS)
         lines.append(f"aggregate_mean,,{means}")
         lines.append(f"aggregate_se,,{ses}")
-    for i, msg in run.failures:
+    for i, _ in run.failures:
         lines.append(f"failure,{i}," + ",".join([""] * len(METRIC_FIELDS)))
     return "\n".join(lines) + "\n"
 

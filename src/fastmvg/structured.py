@@ -27,7 +27,7 @@ O(p^3) reference method the fast path is benchmarked against.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -87,18 +87,15 @@ class DenseSpdScale:
     """Dense SPD prior covariance D with its Cholesky factor.
 
     Sampling N(0, D) for non-diagonal D needs a concrete square root,
-    so a factor is carried alongside the matrix.  Every path checks that
-    D is square, finite and symmetric to 1e-10 of its largest entry
-    (ValueError, or DimensionMismatch for the shape).  With no factor,
-    D is factored here, and a pivot at or below PIVOT_RTOL * trace(D)/p,
-    singular at working precision, raises NotPositiveDefinite.  A
-    supplied factor must have D's shape (DimensionMismatch), be lower
-    triangular with a positive diagonal, and reconstruct D to 1e-10
-    relative accuracy (ValueError); no pivot floor applies to it.
+    so D is factored here, once, and the factor is carried alongside
+    the matrix.  D must be square (DimensionMismatch), finite and
+    symmetric to 1e-10 of its largest entry (ValueError).  A pivot at or
+    below PIVOT_RTOL * trace(D)/p, singular at working precision,
+    raises NotPositiveDefinite.
     """
 
     matrix: np.ndarray
-    factor: SpdFactor | None = None
+    factor: SpdFactor = field(init=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -106,27 +103,15 @@ class DenseSpdScale:
             raise DimensionMismatch("dense scale expects a nonempty square matrix")
         if not np.all(np.isfinite(m)):
             raise ValueError("dense scale entries must be finite")
-        top = np.max(np.abs(m))
-        if np.max(np.abs(m - m.T)) > 1e-10 * top:
+        if np.max(np.abs(m - m.T)) > 1e-10 * np.max(np.abs(m)):
             raise ValueError("matrix is not symmetric within tolerance")
+        floor = PIVOT_RTOL * float(np.trace(m)) / m.shape[0]
+        factor = cholesky(m)
+        pivot = np.min(np.diagonal(factor.lower)) ** 2
+        if pivot <= floor:
+            raise NotPositiveDefinite(f"pivot {pivot:.3e} at or below floor {floor:.3e}")
         object.__setattr__(self, "matrix", m)
-        if self.factor is None:
-            floor = PIVOT_RTOL * float(np.trace(m)) / m.shape[0]
-            factor = cholesky(m)
-            pivot = np.min(np.diagonal(factor.lower)) ** 2
-            if pivot <= floor:
-                raise NotPositiveDefinite(f"pivot {pivot:.3e} at or below floor {floor:.3e}")
-            object.__setattr__(self, "factor", factor)
-            return
-        lower = np.asarray(self.factor.lower, dtype=float)
-        if lower.shape != m.shape:
-            raise DimensionMismatch(
-                f"factor shape {lower.shape} does not match matrix shape {m.shape}"
-            )
-        if np.any(np.triu(lower, 1)) or not np.min(np.diagonal(lower)) > 0.0:
-            raise ValueError("supplied factor is not lower triangular with a positive diagonal")
-        if not np.max(np.abs(lower @ lower.T - m)) <= 1e-10 * max(top, 1.0):
-            raise ValueError("supplied factor does not reconstruct the matrix")
+        object.__setattr__(self, "factor", factor)
 
     @property
     def dim(self) -> int:

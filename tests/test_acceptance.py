@@ -250,7 +250,7 @@ def test_c8_horseshoe_coverage_desk_scale():
                        signal_set="strong", sparsity=5, n_replicates=10)
     cfg = ChainConfig(n_iter=3000, burn_in=1000, seed=2024,
                       fixed_sigma=sigma**2)
-    run = run_replicates(design, cfg, threads=2)
+    run = run_replicates(design, cfg)
     assert not run.failures, f"replicates failed: {run.failures}"
 
     signal_cov = run.aggregate["signal_coverage"][0]

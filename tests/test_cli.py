@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fastmvg.cli as cli
+import fastmvg.experiments as experiments
 import fastmvg.horseshoe as horseshoe
 from fastmvg import (
     DiagonalScale,
@@ -306,18 +307,12 @@ class TestSimulate:
         out = tmp_path / "sim.csv"
         assert main(["simulate", "--n", "60", "--p", "150", "--reps", "3",
                      "--iters", "800", "--burnin", "200", "--seed", "31",
-                     "--threads", "2", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         header = lines[0].split(",")
         agg = next(line for line in lines if line.startswith("aggregate_mean,"))
         value = float(agg.split(",")[header.index("signal_coverage")])
         assert value >= 0.80
-
-    def test_threads_match_sequential(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main([*self.ARGS, "--out", str(a)]) == 0
-        assert main([*self.ARGS, "--threads", "2", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
 
     def test_invalid_options_exit_2(self, tmp_path):
         assert main(["simulate", "--n", "30", "--p", "20", "--sparsity", "30",
@@ -327,11 +322,31 @@ class TestSimulate:
         for sigma in ("inf", "1e200"):  # 1e200 has no finite sigma^2
             assert main([*self.ARGS, "--sigma", sigma, "--out", str(tmp_path / "x.csv")]) == 2
 
-    def test_zero_threads_exit_2(self, tmp_path, capsys):
-        out = tmp_path / "x.csv"
-        assert main([*self.ARGS, "--threads", "0", "--out", str(out)]) == 2
-        assert "threads" in capsys.readouterr().err
-        assert not out.exists()
+    def test_unwritable_out_fails_before_replicates(self, tmp_path, monkeypatch, capsys):
+        def no_replicates(design, cfg):
+            raise AssertionError("run_replicates called before the output was checked")
+
+        monkeypatch.setattr(cli, "run_replicates", no_replicates)
+        out = tmp_path / "missing" / "sim.csv"
+        assert main([*self.ARGS, "--out", str(out)]) == 2
+        assert f"{out}: cannot write" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_failed_replicate_is_reported(self, tmp_path, monkeypatch, capsys):
+        fit = experiments._fit_replicate
+
+        def failing(design, cfg, index):
+            if index == 1:
+                raise RuntimeError("forced")
+            return fit(design, cfg, index)
+
+        monkeypatch.setattr(experiments, "_fit_replicate", failing)
+        out = tmp_path / "sim.csv"
+        assert main([*self.ARGS, "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err == "warning: replicate 1 failed: RuntimeError: forced\n"
+        rows = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
+        assert ["replicate", "0"] in rows and ["failure", "1"] in rows
 
 
 class TestBench:
@@ -367,6 +382,17 @@ class TestBench:
         assert code == 5
         assert not out.exists()
         assert "refusing to time" in capsys.readouterr().err
+
+    def test_unwritable_out_fails_before_timing(self, tmp_path, monkeypatch, capsys):
+        def no_bench(*args, **kwargs):
+            raise AssertionError("run_bench called before the output was checked")
+
+        monkeypatch.setattr(cli, "run_bench", no_bench)
+        out = tmp_path / "missing" / "bench.csv"
+        assert main(["bench", "--n-grid", "10", "--p-grid", "40",
+                     "--out", str(out)]) == 2
+        assert f"{out}: cannot write" in capsys.readouterr().err
+        assert not out.parent.exists()
 
     def test_invalid_grid_exit_2(self, tmp_path):
         assert main(["bench", "--n-grid", "abc", "--p-grid", "50",

@@ -138,13 +138,13 @@ class TestRunReplicates:
         assert a.aggregate == b.aggregate
         assert [m.l2 for m in a.metrics] == [m.l2 for m in b.metrics]
 
-    def test_threads_do_not_change_results(self):
-        design = SimDesign(n=25, p=15, n_replicates=3, sigma=1.0)
-        seq = run_replicates(design, self.CFG, threads=1)
-        par = run_replicates(design, self.CFG, threads=3)
-        assert seq.aggregate == par.aggregate
-        with pytest.raises(ConfigError):
-            run_replicates(design, self.CFG, threads=0)
+    def test_replicate_depends_only_on_seed_and_index(self):
+        # Replicate i takes its data and chain seeds from (cfg.seed, i):
+        # a shorter run repeats the first rows of a longer one exactly.
+        two = run_replicates(SimDesign(n=25, p=15, n_replicates=2, sigma=1.0), self.CFG)
+        three = run_replicates(SimDesign(n=25, p=15, n_replicates=3, sigma=1.0), self.CFG)
+        assert two.indices == [0, 1] and three.indices == [0, 1, 2]
+        assert two.metrics == three.metrics[:2]
 
     def test_aggregate_contains_all_metrics(self):
         design = SimDesign(n=25, p=15, n_replicates=2, sigma=1.0)
