@@ -142,6 +142,7 @@ def cmd_sample(args) -> int:
         raise CliInputError(
             f"{args.alpha_csv}: row 1: expected {n} rows to match phi, found {alpha.shape[0]}"
         )
+    _check_writable(args.out)
     g = StructuredGaussian(phi, scale, alpha)
     rng = RngStream(args.seed, stream_id=0)
     draw = (lambda: fast_sample(g, rng).theta) if args.method == "fast" \

@@ -26,6 +26,10 @@ All three read the n x n system M = I + tau^2 X Lambda^2 X'.  Its
 factor gives log |M| and q = y' M^-1 y for the xi target and the
 sigma^2 draw, and the accepted factor is the one the beta draw solves
 against, so X Lambda^2 X' is formed once per iteration, by one SYRK.
+M is added to the identity and factored by
+``structured.factor_identity_plus``, the function that builds every
+structured Gaussian's system, and ``update_beta`` takes the accepted
+factor as a required argument: the beta draw builds no system.
 """
 from __future__ import annotations
 
@@ -37,9 +41,9 @@ import numpy as np
 from scipy.special import gammainc, gammaincinv, hyp1f1
 
 from .errors import ConfigError, DimensionMismatch
-from .linalg import SpdFactor, cholesky, solve_lower, syrk
+from .linalg import SpdFactor, solve_lower, syrk
 from .rng import RngStream
-from .structured import DiagonalScale, StructuredGaussian, fast_sample
+from .structured import DiagonalScale, StructuredGaussian, factor_identity_plus, fast_sample
 
 # Below this value of rate * bound, the truncated exponential is
 # indistinguishable from its small-argument uniform limit.
@@ -229,9 +233,7 @@ def _log_sigma2_integral(q: float, n: int, floor: float) -> float:
 def _log_xi_target(k: np.ndarray, data: RegressionData, s: float,
                    fixed_sigma2: float | None) -> tuple[float, SpdFactor, float]:
     """update_tau's log target at log xi = s, the factor of M and q."""
-    m = k * math.exp(-s)  # K / xi; upper triangle, as syrk gives it
-    m.ravel()[:: m.shape[0] + 1] += 1.0
-    factor = cholesky(m, overwrite_a=True)
+    factor = factor_identity_plus(k * math.exp(-s))  # M = I + K/xi
     z = solve_lower(factor, data.y)
     q = float(np.dot(z, z))
     if fixed_sigma2 is None:
@@ -292,7 +294,7 @@ def update_sigma2(q: float, data: RegressionData, rng: RngStream) -> float:
 
 
 def update_beta(data: RegressionData, lam: np.ndarray, tau: float, sigma2: float,
-                rng: RngStream, factor: SpdFactor | None = None) -> np.ndarray:
+                rng: RngStream, factor: SpdFactor) -> np.ndarray:
     """Exact draw from beta | y, lambda, tau, sigma.
 
     The conditional is N(A^-1 X' y, sigma^2 A^-1) with
@@ -300,9 +302,10 @@ def update_beta(data: RegressionData, lam: np.ndarray, tau: float, sigma2: float
     draw from the structured Gaussian phi = X, D = Lambda*,
     alpha = y/sigma, whose mean is A^-1 X' y / sigma and covariance
     A^-1.  sigma cancels from the n x n system M = X Lambda* X' + I, and
-    X is used as it is, with no n x p copy.  ``factor``, if given, is
-    the factor of that M (update_tau returns it), and the draw builds
-    no n x n system of its own.
+    X is used as it is, with no n x p copy.  ``factor`` is the factor of
+    that M, as update_tau returns it; the draw builds no n x n system
+    of its own, and that ``factor`` matches (lam, tau) is the caller's
+    promise.
     """
     sigma = math.sqrt(sigma2)
     d = tau**2 * (lam * lam)

@@ -27,6 +27,7 @@ O(p^3) reference method the fast path is benchmarked against.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -143,6 +144,22 @@ class DenseSpdScale:
 ScaleStructure = DiagonalScale | DenseSpdScale
 
 
+def factor_identity_plus(s: np.ndarray) -> SpdFactor:
+    """The Cholesky factor of I + S, built in ``s``, which it destroys.
+
+    ``s`` is a C-ordered n x n temporary holding a symmetric S in its
+    upper triangle, the layout ``syrk`` returns; the identity is added
+    to its diagonal in place and the sum is factored in place.  This
+    is the one place where M = I + Phi D Phi' is formed and factored:
+    ``StructuredGaussian`` and the horseshoe chain's global-scale step
+    both call it.  For S positive semidefinite, I + S is SPD with
+    eigenvalues >= 1, so no pivot floor runs; one would misfire for
+    large D.
+    """
+    s.ravel()[:: s.shape[0] + 1] += 1.0  # s is C-contiguous: ravel is a view
+    return cholesky(s, overwrite_a=True)
+
+
 @dataclass(frozen=True)
 class StructuredGaussian:
     """Problem instance (phi, D, alpha) and, once used, its n x n factor.
@@ -215,12 +232,8 @@ class StructuredGaussian:
         """
         factor = self.__dict__.get("_coupling_cache")
         if factor is None:
-            # M = I + B B' for B = Phi D^{1/2}, upper triangle only.
-            m = syrk(self.scale.phi_times_scale(self.phi))
-            m.ravel()[:: self.n + 1] += 1.0  # m is C-contiguous: ravel is a view
-            # SPD with eigenvalues >= 1 by construction: no pivot floor,
-            # which would misfire for large D.
-            factor = cholesky(m, overwrite_a=True)
+            # M = I + B B' for B = Phi D^{1/2}.
+            factor = factor_identity_plus(syrk(self.scale.phi_times_scale(self.phi)))
             self.__dict__["_coupling_cache"] = factor  # frozen: bypass __setattr__
         return factor
 
@@ -287,7 +300,10 @@ def log_density(g: StructuredGaussian, x: np.ndarray) -> float:
 
     log |Sigma^-1| = log |D^-1| + log |I_n + Phi D Phi'| and the
     quadratic form expands through Sigma^-1 mu = Phi' alpha, so the
-    whole evaluation is O(n^3 + n^2 p) for diagonal D.
+    whole evaluation is O(n^3 + n^2 p) for diagonal D.  It never
+    returns NaN: where the value would be NaN, as for a NaN entry of x
+    or for an infinite one whose terms cancel as inf - inf, it raises
+    ValueError.  An infinite x whose terms do not cancel gives -inf.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (g.p,):
@@ -300,4 +316,7 @@ def log_density(g: StructuredGaussian, x: np.ndarray) -> float:
     # mu' Sigma^-1 mu = alpha' (I - M^-1) alpha for M = Phi D Phi' + I.
     quad_mu = float(np.dot(g.alpha, g.alpha) - np.dot(g.alpha, solve_spd(factor, g.alpha)))
     quad = quad_x - 2.0 * cross + quad_mu
-    return -0.5 * g.p * LOG_2PI + 0.5 * log_det_prec - 0.5 * quad
+    value = -0.5 * g.p * LOG_2PI + 0.5 * log_det_prec - 0.5 * quad
+    if math.isnan(value):  # one O(1) check, not a scan of x
+        raise ValueError("log density is NaN: x has a non-finite entry or overflows")
+    return value

@@ -40,10 +40,6 @@ class QueuedStream:
         assert v.shape == (size,)
         return v.copy()
 
-    def gamma(self, shape, rate):
-        v = self._uniforms.pop(0)
-        return float(v)
-
 
 def gauss_solve(a, b):
     """Dense Gaussian elimination with partial pivoting."""

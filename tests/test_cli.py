@@ -96,6 +96,16 @@ class TestSample:
                      "--seed", "0", "--out", str(out)]) == 0
         assert len(rows_of(out)) == 3
 
+    def test_unwritable_out_fails_before_draws(self, tmp_path, unit_instance,
+                                               monkeypatch, capsys):
+        def no_draws(g, rng):
+            raise AssertionError("fast_sample called before the output was checked")
+
+        monkeypatch.setattr(cli, "fast_sample", no_draws)
+        out = tmp_path / "missing" / "draws.csv"
+        assert main(["sample", *unit_instance, "--draws", "5", "--out", str(out)]) == 2
+        assert f"{out}: cannot write" in capsys.readouterr().err
+
     def test_ragged_rows_exit_2(self, tmp_path, capsys):
         phi = write(tmp_path / "phi.csv", "1,2\n3\n")
         d = write(tmp_path / "d.csv", "1,1\n")

@@ -7,6 +7,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.special import gammainc
 
 import fastmvg.horseshoe as horseshoe
+import fastmvg.structured as structured
 from fastmvg import (
     ChainConfig,
     ConfigError,
@@ -22,6 +23,8 @@ from fastmvg import (
     update_sigma2,
     update_tau,
 )
+from fastmvg.linalg import syrk
+from fastmvg.structured import factor_identity_plus
 
 from conftest import (
     OneColumnXiTarget,
@@ -42,6 +45,11 @@ def make_state(beta, lam, tau=1.0, sigma2=1.0):
     )
 
 
+def beta_factor(data, lam, tau):
+    """The factor of M = I + tau^2 X Lambda^2 X' that update_beta draws on."""
+    return factor_identity_plus(syrk(data.x * (tau * lam)))
+
+
 class TestUpdateBeta:
     def test_zero_design_draws_from_prior(self):
         # X = 0 makes the conditional equal to the prior N(0, sigma^2 Lambda*):
@@ -51,7 +59,8 @@ class TestUpdateBeta:
         lam = np.array([0.5, 1.0, 2.0])
         z_p = np.array([1.0, -1.0, 2.0])
         z_n = np.zeros(n)
-        beta = update_beta(data, lam, 0.7, 4.0, QueuedStream(normals=[z_p, z_n]))
+        beta = update_beta(data, lam, 0.7, 4.0, QueuedStream(normals=[z_p, z_n]),
+                           beta_factor(data, lam, 0.7))
         np.testing.assert_allclose(beta, 2.0 * 0.7 * lam * z_p, rtol=1e-12)
 
     def test_unit_instance_posterior_mean(self):
@@ -59,7 +68,8 @@ class TestUpdateBeta:
         # A = 1 + 1 = 2, so with u = delta = 0 the draw is the mean 1/2.
         data = RegressionData(np.array([[1.0], [0.0]]), np.array([1.0, 0.0]))
         stub = QueuedStream(normals=[np.zeros(1), np.zeros(2)])
-        beta = update_beta(data, np.ones(1), 1.0, 1.0, stub)
+        beta = update_beta(data, np.ones(1), 1.0, 1.0, stub,
+                           beta_factor(data, np.ones(1), 1.0))
         np.testing.assert_allclose(beta, [0.5], rtol=1e-14)
 
     def test_moments_match_dense_conditional(self):
@@ -78,9 +88,10 @@ class TestUpdateBeta:
 
         n_draws = 100_000
         rng = RngStream(5, 0)
+        factor = beta_factor(data, lam, 0.8)
         draws = np.empty((n_draws, p))
         for i in range(n_draws):
-            draws[i] = update_beta(data, lam, 0.8, 1.5, rng)
+            draws[i] = update_beta(data, lam, 0.8, 1.5, rng, factor)
         oracle = mu + gen.standard_normal((n_draws, p)) @ chol.T
 
         var = np.diagonal(cov)
@@ -101,8 +112,9 @@ class TestUpdateBeta:
         lam = gen.uniform(0.2, 3.0, p)
         sigma2, tau = 2.25, 0.7
         z_p, z_n = gen.standard_normal(p), gen.standard_normal(n)
-        beta = update_beta(RegressionData(x, y), lam, tau, sigma2,
-                           QueuedStream(normals=[z_p, z_n]))
+        data = RegressionData(x, y)
+        beta = update_beta(data, lam, tau, sigma2, QueuedStream(normals=[z_p, z_n]),
+                           beta_factor(data, lam, tau))
 
         sigma = np.sqrt(sigma2)
         d = sigma2 * tau**2 * lam**2
@@ -112,7 +124,7 @@ class TestUpdateBeta:
 
     def test_kept_factor_gives_the_same_draw(self):
         # The factor update_tau returns is that of the beta-draw's own
-        # system: drawing on it equals building the system afresh.
+        # system: drawing on it equals drawing on that system factored afresh.
         gen = np.random.default_rng(19)
         n, p = 6, 15
         data = RegressionData(gen.standard_normal((n, p)), gen.standard_normal(n))
@@ -122,25 +134,28 @@ class TestUpdateBeta:
         z_p, z_n = gen.standard_normal(p), gen.standard_normal(n)
         kept = update_beta(data, lam, step.tau, 2.25, QueuedStream(normals=[z_p, z_n]),
                            step.factor)
-        fresh = update_beta(data, lam, step.tau, 2.25, QueuedStream(normals=[z_p, z_n]))
+        fresh = update_beta(data, lam, step.tau, 2.25, QueuedStream(normals=[z_p, z_n]),
+                            beta_factor(data, lam, step.tau))
         np.testing.assert_allclose(kept, fresh, rtol=1e-12, atol=1e-14)
 
     def test_allocates_at_most_one_n_by_p_temporary(self):
-        # After a warm call, a draw at p >> n may allocate B = X Lambda*^{1/2}
-        # and nothing else of size n x p: no X/sigma copy, no kept Phi D.
+        # After a warm call, a draw at p >> n on the kept factor allocates
+        # p-vectors only: no X/sigma copy, no B = X Lambda*^{1/2}, no kept
+        # Phi D.  Four or five p-vectors are 0.2-0.25 of one n x p array.
         gen = np.random.default_rng(18)
         n, p = 20, 20000
         data = RegressionData(gen.standard_normal((n, p)), gen.standard_normal(n))
         lam = gen.uniform(0.5, 2.0, p)
         rng = RngStream(6, 0)
-        update_beta(data, lam, 0.5, 2.0, rng)
+        factor = beta_factor(data, lam, 0.5)
+        update_beta(data, lam, 0.5, 2.0, rng, factor)
         tracemalloc.start()
         try:
-            update_beta(data, lam, 0.5, 2.0, rng)
+            update_beta(data, lam, 0.5, 2.0, rng, factor)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * n * p * 8
+        assert peak < 0.5 * n * p * 8
 
 
 class TestUpdateLambda:
@@ -374,6 +389,22 @@ class TestRunChain:
         result = run_chain(data, cfg)
         assert result.draws.shape == ((10 - 3) // 2, data.p)
         assert result.scale_draws.shape == ((10 - 3) // 2, 2)
+
+    def test_two_factorizations_per_iteration(self, monkeypatch):
+        # update_tau factors M at the current and the proposed tau, both
+        # through structured.cholesky; the beta draw reuses the accepted
+        # factor and factors nothing.
+        data = self.small_data()
+        calls = []
+        real = structured.cholesky
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(structured, "cholesky", counting)
+        run_chain(data, ChainConfig(n_iter=3, burn_in=0, seed=3))
+        assert calls == [(data.n, data.n)] * 6
 
     def test_fixed_sigma_bypasses_update(self):
         data = self.small_data()

@@ -78,7 +78,8 @@ class TestScaleStructures:
         phi[1, 2] = bad
         scale = DenseSpdScale(np.eye(3)) if dense else DiagonalScale(np.ones(3))
         g = StructuredGaussian(phi, scale, np.ones(2))
-        assert_every_consumer_raises(g)
+        with np.errstate(invalid="ignore"):  # inf * 0 in Phi L, for dense D
+            assert_every_consumer_raises(g)
 
     def test_construction_does_not_scan_phi(self):
         # At (20, 20000) an isfinite scan of phi allocates an n x p
@@ -280,6 +281,23 @@ class TestLogDensity:
         with pytest.raises(DimensionMismatch):
             log_density(g, np.zeros(5))
 
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x_never_gives_nan(self, bad, dense):
+        # A NaN entry, or an infinite one whose terms cancel as inf - inf,
+        # raises; an infinite entry whose terms do not cancel gives -inf,
+        # the log of the density's limit of 0.
+        g = random_instance(84, n=3, p=8, dense=dense)
+        x = np.zeros(g.p)
+        x[2] = bad
+        with np.errstate(invalid="ignore"):  # inf - inf inside Phi x or a dot
+            try:
+                value = log_density(g, x)
+            except ValueError as exc:
+                assert "NaN" in str(exc)
+                return
+        assert not np.isnan(bad) and value == -np.inf
+
 
 class TestKeptFactor:
     def test_one_factorization_per_instance(self, monkeypatch):
@@ -437,7 +455,8 @@ class TestHostileScales:
         d = np.full(p, 1e10)
         scale = DenseSpdScale(np.diag(d)) if dense else DiagonalScale(d)
         g = StructuredGaussian(np.full((n, p), 1e200), scale, np.ones(n))
-        assert_every_consumer_raises(g)
+        with np.errstate(over="ignore"):  # Phi' Phi in baseline_sample
+            assert_every_consumer_raises(g)
 
 
 class TestBlockDecomposition:
