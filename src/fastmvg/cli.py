@@ -15,8 +15,10 @@ could not verify its BLAS thread pin.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -114,10 +116,13 @@ def _check_writable(path: str) -> None:
         raise CliInputError(f"{path}: cannot write: permission denied")
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` one at a time through one handle, so a file of
+    many rows is never held as one string."""
     try:
         with open(path, "w", encoding="ascii", newline="\n") as handle:
-            handle.write(text)
+            for chunk in chunks:
+                handle.write(chunk)
     except OSError as exc:
         raise CliInputError(f"{path}: cannot write: {exc.strerror}") from exc
 
@@ -147,8 +152,12 @@ def cmd_sample(args) -> int:
     rng = RngStream(args.seed, stream_id=0)
     draw = (lambda: fast_sample(g, rng).theta) if args.method == "fast" \
         else (lambda: baseline_sample(g, rng))
-    lines = [_format_row(draw()) for _ in range(args.draws)]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    # Every draw is made before the file is opened, so a failed draw
+    # leaves no partial output.
+    draws = np.empty((args.draws, p))
+    for i in range(args.draws):
+        draws[i] = draw()
+    _write_text(args.out, (_format_row(row) + "\n" for row in draws))
     return EXIT_OK
 
 
@@ -173,15 +182,13 @@ def cmd_fit(args) -> int:
     _check_writable(f"{args.out}_summary.csv")
     result = run_chain(data, cfg)
     s = result.summaries
-    lines = ["index,mean,median,lower95,upper95"]
-    for j in range(data.p):
-        lines.append(
-            f"{j},{_format_row([s.mean[j], s.median[j], s.lower[j], s.upper[j]])}"
-        )
-    _write_text(f"{args.out}_summary.csv", "\n".join(lines) + "\n")
+    columns = zip(s.mean, s.median, s.lower, s.upper)
+    _write_text(f"{args.out}_summary.csv", itertools.chain(
+        ["index,mean,median,lower95,upper95\n"],
+        (f"{j},{_format_row(row)}\n" for j, row in enumerate(columns))))
     if args.save_draws:
-        rows = [_format_row(row) for row in result.draws]
-        _write_text(f"{args.out}_draws.csv", "\n".join(rows) + "\n")
+        _write_text(f"{args.out}_draws.csv",
+                    (_format_row(row) + "\n" for row in result.draws))
     return EXIT_OK
 
 
@@ -209,7 +216,7 @@ def cmd_simulate(args) -> int:
     run = run_replicates(design, cfg)
     for i, msg in run.failures:
         print(f"warning: replicate {i} failed: {msg}", file=sys.stderr)
-    _write_text(args.out, render_replicates_csv(run))
+    _write_text(args.out, [render_replicates_csv(run)])
     return EXIT_OK
 
 
@@ -234,7 +241,7 @@ def cmd_bench(args) -> int:
     except BlasPinError as exc:
         print(f"error: refusing to time: {exc}", file=sys.stderr)
         return EXIT_BLAS_PIN
-    _write_text(args.out, render_bench_csv(result))
+    _write_text(args.out, [render_bench_csv(result)])
     return EXIT_OK
 
 

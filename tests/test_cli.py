@@ -1,3 +1,5 @@
+import errno
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,14 @@ import fastmvg.cli as cli
 import fastmvg.experiments as experiments
 import fastmvg.horseshoe as horseshoe
 from fastmvg import (
+    ChainConfig,
     DiagonalScale,
     NotPositiveDefinite,
+    RegressionData,
     RngStream,
     StructuredGaussian,
     fast_sample,
+    run_chain,
 )
 from fastmvg.blas import OpenBlas, bundled_openblas
 from fastmvg.cli import main
@@ -105,6 +110,48 @@ class TestSample:
         out = tmp_path / "missing" / "draws.csv"
         assert main(["sample", *unit_instance, "--draws", "5", "--out", str(out)]) == 2
         assert f"{out}: cannot write" in capsys.readouterr().err
+
+    def test_streamed_rows_equal_joined_text(self, tmp_path):
+        gen = np.random.default_rng(21)
+        phi, alpha = gen.standard_normal((2, 3)), gen.standard_normal(2)
+        d = np.array([0.5, 1.0, 2.0])
+        paths = [write(tmp_path / f"{name}.csv",
+                       "\n".join(cli._format_row(r) for r in rows) + "\n")
+                 for name, rows in (("phi", phi), ("d", [d]), ("alpha", alpha[:, None]))]
+        out = tmp_path / "draws.csv"
+        assert main(["sample", *paths, "--draws", "5", "--seed", "8", "--out", str(out)]) == 0
+        g = StructuredGaussian(phi, DiagonalScale(d), alpha)
+        rng = RngStream(8, stream_id=0)
+        rows = [fast_sample(g, rng).theta for _ in range(5)]
+        assert out.read_text() == "\n".join(cli._format_row(r) for r in rows) + "\n"
+
+    def test_write_error_mid_file_exit_2(self, tmp_path, unit_instance, monkeypatch, capsys):
+        class FailingHandle:
+            """A file whose second write fails, as on a full disk; reads pass through."""
+
+            def __init__(self, handle):
+                self.handle, self.writes = handle, 0
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.handle.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+        monkeypatch.setattr(cli, "open", lambda *a, **k: FailingHandle(open(*a, **k)),
+                            raising=False)
+        out = tmp_path / "draws.csv"
+        assert main(["sample", *unit_instance, "--draws", "5", "--out", str(out)]) == 2
+        assert f"{out}: cannot write: No space left on device" in capsys.readouterr().err
 
     def test_ragged_rows_exit_2(self, tmp_path, capsys):
         phi = write(tmp_path / "phi.csv", "1,2\n3\n")
@@ -214,7 +261,8 @@ class TestFit:
         prefix = tmp_path / "fit"
         assert main(["fit", xp, yp, "--iters", "6000", "--burnin", "1000",
                      "--seed", "11", "--out", str(prefix)]) == 0
-        header = open(f"{prefix}_summary.csv").readline().strip()
+        with open(f"{prefix}_summary.csv") as handle:
+            header = handle.readline().strip()
         assert header == "index,mean,median,lower95,upper95"
         row = np.loadtxt(f"{prefix}_summary.csv", delimiter=",", skiprows=1)
         assert 0.5 < row[1] < 1.2
@@ -237,6 +285,24 @@ class TestFit:
                      "--out", str(prefix)]) == 0
         draws = (tmp_path / "fit_draws.csv").read_text().splitlines()
         assert len(draws) == (120 - 20) // 2
+
+    def test_streamed_files_equal_joined_text(self, tmp_path):
+        gen = np.random.default_rng(22)
+        x, y = gen.standard_normal((6, 4)), gen.standard_normal(6)
+        xp = write(tmp_path / "x.csv", "\n".join(cli._format_row(r) for r in x) + "\n")
+        yp = write(tmp_path / "y.csv", "\n".join(cli._format_row([v]) for v in y) + "\n")
+        prefix = tmp_path / "fit"
+        assert main(["fit", xp, yp, "--iters", "130", "--burnin", "30", "--thin", "3",
+                     "--seed", "5", "--save-draws", "--out", str(prefix)]) == 0
+        draws = run_chain(RegressionData(x, y),
+                          ChainConfig(n_iter=130, burn_in=30, thin=3, seed=5)).draws
+        assert (tmp_path / "fit_draws.csv").read_text() == \
+            "\n".join(cli._format_row(r) for r in draws) + "\n"
+        table = [f"{j},{cli._format_row(r)}" for j, r in enumerate(zip(
+            draws.mean(axis=0), np.median(draws, axis=0),
+            np.quantile(draws, 0.025, axis=0), np.quantile(draws, 0.975, axis=0)))]
+        assert (tmp_path / "fit_summary.csv").read_text() == \
+            "\n".join(["index,mean,median,lower95,upper95", *table]) + "\n"
 
     def test_mismatched_y_exit_2(self, tmp_path, capsys):
         xp = write(tmp_path / "x.csv", "1\n1\n1\n")

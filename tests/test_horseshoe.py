@@ -348,6 +348,37 @@ class TestUpdateSigma2:
             assert horseshoe._log_sigma2_integral(1e-12 * f, n, f) == pytest.approx(closed, abs=1e-9)
 
 
+def assert_summaries_equal(summary, draws):
+    """The summaries equal the whole-array numpy reductions bit for bit."""
+    assert np.array_equal(summary.mean, draws.mean(axis=0))
+    assert np.array_equal(summary.median, np.median(draws, axis=0))
+    assert np.array_equal(summary.lower, np.quantile(draws, 0.025, axis=0))
+    assert np.array_equal(summary.upper, np.quantile(draws, 0.975, axis=0))
+
+
+class TestSummarize:
+    # (kept, p): kept 1, 2 and 3; odd and even kept; p not a multiple of
+    # the block width (1001 kept gives 130 columns per block); and
+    # kept * 8 above the block size, so each block is one column.
+    @pytest.mark.parametrize("shape", [(1, 7), (2, 3), (3, 1), (45, 5000), (450, 500),
+                                       (1001, 333), (4, 100000), (140000, 3)])
+    def test_equals_whole_array_reductions(self, shape):
+        draws = np.random.default_rng(shape[0]).standard_cauchy(shape)
+        assert_summaries_equal(horseshoe._summarize(draws), draws)
+
+    def test_peak_memory_is_a_fraction_of_the_draws(self):
+        # Whole-array np.median and np.quantile each copy the draws; the
+        # blocked summary holds a few blocks of the block size at once.
+        draws = np.random.default_rng(13).standard_normal((1350, 5000))
+        tracemalloc.start()
+        try:
+            horseshoe._summarize(draws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < draws.nbytes / 8
+
+
 class TestRunChain:
     def small_data(self, seed=60, n=20, p=10):
         gen = np.random.default_rng(seed)
@@ -389,6 +420,11 @@ class TestRunChain:
         result = run_chain(data, cfg)
         assert result.draws.shape == ((10 - 3) // 2, data.p)
         assert result.scale_draws.shape == ((10 - 3) // 2, 2)
+
+    def test_thinned_fit_summaries_equal_whole_array_reductions(self):
+        result = run_chain(self.small_data(), ChainConfig(n_iter=301, burn_in=100,
+                                                          thin=3, seed=12))
+        assert_summaries_equal(result.summaries, result.draws)
 
     def test_two_factorizations_per_iteration(self, monkeypatch):
         # update_tau factors M at the current and the proposed tau, both
