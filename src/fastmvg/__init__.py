@@ -32,7 +32,6 @@ from .experiments import (
 from .horseshoe import (
     ChainConfig,
     ChainResult,
-    HorseshoeState,
     IntervalSummary,
     RegressionData,
     TauDraw,
@@ -66,7 +65,6 @@ __all__ = [
     "DiagonalScale",
     "DimensionMismatch",
     "FastmvgError",
-    "HorseshoeState",
     "IntervalSummary",
     "InvalidParameter",
     "NotPositiveDefinite",

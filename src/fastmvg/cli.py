@@ -109,6 +109,8 @@ def _format_row(values) -> str:
 
 def _check_writable(path: str) -> None:
     """Fail before the work, not after it, when ``path`` cannot be created."""
+    if os.path.isdir(path):
+        raise CliInputError(f"{path}: cannot write: is a directory")
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise CliInputError(f"{path}: cannot write: no such directory")
@@ -180,6 +182,8 @@ def cmd_fit(args) -> int:
     except (ConfigError, ValueError) as exc:
         raise CliInputError(str(exc)) from exc
     _check_writable(f"{args.out}_summary.csv")
+    if args.save_draws:
+        _check_writable(f"{args.out}_draws.csv")
     result = run_chain(data, cfg)
     s = result.summaries
     columns = zip(s.mean, s.median, s.lower, s.upper)

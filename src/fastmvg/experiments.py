@@ -35,8 +35,10 @@ SIGNAL_SETS = {"strong": STRONG_SIGNALS, "weak": WEAK_SIGNALS}
 _COMPOUND_RHO = 0.5
 _TOEPLITZ_RHO = 0.9
 
-# run_bench times each grid point in this many separated blocks.
+# run_bench times each grid point in this many separated blocks, for at
+# least BENCH_MIN_SECONDS of wall time in all.
 BENCH_PASSES = 3
+BENCH_MIN_SECONDS = 0.2
 
 
 @dataclass(frozen=True)
@@ -281,8 +283,7 @@ def _time_block(sampler, g: StructuredGaussian, rng: RngStream,
     return float(np.median(times))
 
 
-def run_bench(n_grid, p_grid, repetitions: int = 5, seed: int = 0,
-              min_total_seconds: float = 0.2) -> BenchResult:
+def run_bench(n_grid, p_grid, repetitions: int = 5, seed: int = 0) -> BenchResult:
     """Median wall times of both samplers over the (n, p) grid.
 
     Timing is strictly sequential and pinned to one BLAS thread so the
@@ -292,7 +293,7 @@ def run_bench(n_grid, p_grid, repetitions: int = 5, seed: int = 0,
     (``blas.pinned_blas``); if a library cannot be found or reads back
     anything but 1, BlasPinError is raised and nothing is timed.  Each grid
     point is timed in BENCH_PASSES separated blocks, each running until
-    both its repetition floor and a minimum total wall time are
+    both its repetition floor and its share of BENCH_MIN_SECONDS are
     reached; the reported value is the median of the block medians,
     which rejects transient machine load that would otherwise bias a
     single contiguous block.  Instance generation and stream warm-up
@@ -309,7 +310,7 @@ def run_bench(n_grid, p_grid, repetitions: int = 5, seed: int = 0,
 
     samplers = {"fast": lambda g, r: fast_sample(g, r).theta, "baseline": baseline_sample}
     per_pass_reps = max(2, -(-repetitions // BENCH_PASSES))
-    per_pass_floor = min_total_seconds / BENCH_PASSES
+    per_pass_floor = BENCH_MIN_SECONDS / BENCH_PASSES
     instances = {(n, p): _bench_instance(n, p, seed) for n in n_grid for p in p_grid}
     blocks: dict[tuple[str, int, int], list[float]] = {
         (m, n, p): [] for m in samplers for n in n_grid for p in p_grid

@@ -30,6 +30,9 @@ M is added to the identity and factored by
 ``structured.factor_identity_plus``, the function that builds every
 structured Gaussian's system, and ``update_beta`` takes the accepted
 factor as a required argument: the beta draw builds no system.
+
+The four updates take plain arrays and scalars; run_chain holds the
+state as locals and checks its scales after every iteration.
 """
 from __future__ import annotations
 
@@ -104,27 +107,6 @@ class RegressionData:
 
 
 @dataclass(frozen=True)
-class HorseshoeState:
-    """One iteration's parameter block; all scales strictly positive."""
-
-    beta: np.ndarray
-    lam: np.ndarray
-    tau: float
-    sigma2: float
-
-    def __post_init__(self):
-        if self.beta.shape != self.lam.shape:
-            raise DimensionMismatch("beta and lam must have the same length")
-        # Two reductions and no temporaries: a NaN fails both comparisons.
-        if not (self.lam.min() > 0.0 and self.lam.max() < math.inf):
-            raise ValueError("local scales must be finite and positive")
-        if not 0.0 < self.tau < math.inf:
-            raise ValueError("tau must be finite and positive")
-        if not 0.0 < self.sigma2 < math.inf:
-            raise ValueError("sigma2 must be finite and positive")
-
-
-@dataclass(frozen=True)
 class ChainConfig:
     """Chain settings; fixed_sigma, if given, is sigma^2 (not sigma), held fixed."""
 
@@ -190,9 +172,12 @@ class TauDraw(NamedTuple):
     q: float
 
 
-def update_lambda(state: HorseshoeState, rng: RngStream) -> np.ndarray:
+def update_lambda(beta: np.ndarray, lam: np.ndarray, tau: float, sigma2: float,
+                  rng: RngStream) -> np.ndarray:
     """One slice transition for every local scale, done as a block.
 
+    beta and lam (arrays of one shape, else DimensionMismatch), tau and
+    sigma2 are the current state; the new lam is returned.
     In eta_j = lambda_j^-2 the conditional is
     p(eta_j) ~ exp(-m_j eta_j) / (1 + eta_j) with
     m_j = beta_j^2 / (2 tau^2 sigma^2): draw the slice level, then a
@@ -200,8 +185,10 @@ def update_lambda(state: HorseshoeState, rng: RngStream) -> np.ndarray:
     uniform draw on the slice interval, as does m_j * bound below the
     resolution of expm1.
     """
-    eta = 1.0 / (state.lam * state.lam)
-    m = state.beta * state.beta / (2.0 * state.tau**2 * state.sigma2)
+    if beta.shape != lam.shape:
+        raise DimensionMismatch("beta and lam must have the same length")
+    eta = 1.0 / (lam * lam)
+    m = beta * beta / (2.0 * tau**2 * sigma2)
     s = rng.uniform(size=eta.shape[0]) / (1.0 + eta)
     bound = (1.0 - s) / s
     u = rng.uniform(size=eta.shape[0])
@@ -317,17 +304,6 @@ def update_beta(data: RegressionData, lam: np.ndarray, tau: float, sigma2: float
     return sigma * fast_sample(g, rng).theta
 
 
-def _initial_state(data: RegressionData, cfg: ChainConfig) -> HorseshoeState:
-    # beta = 0 makes the first lambda step read neither tau nor sigma^2,
-    # and a sampled sigma^2 is drawn before anything else reads it.
-    return HorseshoeState(
-        beta=np.zeros(data.p),
-        lam=np.ones(data.p),
-        tau=1.0,
-        sigma2=1.0 if cfg.fixed_sigma is None else float(cfg.fixed_sigma),
-    )
-
-
 def _summarize(draws: np.ndarray) -> IntervalSummary:
     """Column summaries of a (kept, p) draws array, in bounded memory.
 
@@ -351,20 +327,36 @@ def _summarize(draws: np.ndarray) -> IntervalSummary:
                            lower=bounds[0], upper=bounds[1])
 
 
+def _check_scales(lam: np.ndarray, tau: float, sigma2: float) -> None:
+    """Raise ValueError unless lam, tau and sigma2 are finite and positive."""
+    # Two reductions and no temporaries: a NaN fails both comparisons.
+    if not (lam.min() > 0.0 and lam.max() < math.inf):
+        raise ValueError("local scales must be finite and positive")
+    if not 0.0 < tau < math.inf:
+        raise ValueError("tau must be finite and positive")
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError("sigma2 must be finite and positive")
+
+
 def run_chain(data: RegressionData, cfg: ChainConfig) -> ChainResult:
     """Systematic scan: lambda, then the (tau, sigma^2, beta) block.
 
-    The result is a pure function of (data, cfg); all randomness comes
-    from the stream keyed by cfg.seed.  A fit holds its kept x p float64
-    draws plus O(np) working memory: the summaries are taken in bounded
-    column blocks (_summarize), with no copy of the draws.  An error
-    raised in an iteration is raised again with the same type and its
-    message prefixed by the iteration (counted from 1) and the block,
-    e.g. ``iteration 37, block tau: ...``; block ``state`` is the check
-    of the new state.
+    The state starts at beta = 0, lam = 1, tau = 1 and sigma2 = 1 (or
+    cfg.fixed_sigma).  The result is a pure function of (data, cfg); all
+    randomness comes from the stream keyed by cfg.seed.  A fit holds its
+    kept x p float64 draws plus O(np) working memory: the summaries are
+    taken in bounded column blocks (_summarize).  An error raised in an
+    iteration is raised again with the same type and its message
+    prefixed by the iteration (counted from 1) and the block, e.g.
+    ``iteration 37, block tau: ...``; block ``state`` is _check_scales.
     """
     rng = RngStream(cfg.seed, stream_id=0)
-    state = _initial_state(data, cfg)
+    # beta = 0 makes the first lambda step read neither tau nor sigma^2,
+    # and a sampled sigma^2 is drawn before anything else reads it.
+    beta = np.zeros(data.p)
+    lam = np.ones(data.p)
+    tau = 1.0
+    sigma2 = 1.0 if cfg.fixed_sigma is None else float(cfg.fixed_sigma)
     kept = cfg.n_kept
     draws = np.empty((kept, data.p))
     scale_draws = np.empty((kept, 2))
@@ -373,22 +365,23 @@ def run_chain(data: RegressionData, cfg: ChainConfig) -> ChainResult:
     for it in range(1, cfg.n_iter + 1):
         try:
             block = "lambda"
-            lam = update_lambda(state, rng)
+            lam = update_lambda(beta, lam, tau, sigma2, rng)
             block = "tau"
-            step = update_tau(data, lam, state.tau, rng, cfg.fixed_sigma)
+            step = update_tau(data, lam, tau, rng, cfg.fixed_sigma)
+            tau = step.tau
             block = "sigma2"
-            sigma2 = (state.sigma2 if cfg.fixed_sigma is not None
-                      else update_sigma2(step.q, data, rng))
+            if cfg.fixed_sigma is None:
+                sigma2 = update_sigma2(step.q, data, rng)
             block = "beta"
-            beta = update_beta(data, lam, step.tau, sigma2, rng, step.factor)
+            beta = update_beta(data, lam, tau, sigma2, rng, step.factor)
             block = "state"
-            state = HorseshoeState(beta=beta, lam=lam, tau=step.tau, sigma2=sigma2)
+            _check_scales(lam, tau, sigma2)
         except Exception as exc:
             raise type(exc)(f"iteration {it}, block {block}: {exc}") from exc
         accepted += step.accepted
         if it > cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
             draws[k] = beta
-            scale_draws[k, 0] = step.tau
+            scale_draws[k, 0] = tau
             scale_draws[k, 1] = sigma2
             k += 1
     assert k == kept

@@ -208,7 +208,7 @@ def test_c6_log_density():
 
 
 def test_c7_slice_stationarity():
-    from fastmvg import HorseshoeState, RegressionData, update_lambda, update_tau
+    from fastmvg import RegressionData, update_lambda, update_tau
 
     n_states = 100_000
     gen = np.random.default_rng(707)
@@ -219,11 +219,8 @@ def test_c7_slice_stationarity():
         propose=lambda g, k: g.exponential(1.0, size=k),
         accept_prob=lambda c: 1.0 / (1.0 + c),
     )
-    state = HorseshoeState(
-        beta=np.full(n_states, np.sqrt(2.0)),
-        lam=1.0 / np.sqrt(eta0), tau=1.0, sigma2=1.0,
-    )
-    eta1 = 1.0 / update_lambda(state, RngStream(708, 0)) ** 2
+    beta = np.full(n_states, np.sqrt(2.0))
+    eta1 = 1.0 / update_lambda(beta, 1.0 / np.sqrt(eta0), 1.0, 1.0, RngStream(708, 0)) ** 2
     grid_l, cdf_l = quadrature_cdf(lambda t: -t - np.log1p(t), hi=50.0)
     ks_lambda = ks_statistic(eta1, grid_l, cdf_l)
     assert ks_lambda < 0.01, f"lambda KS {ks_lambda:.4f}"

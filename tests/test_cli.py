@@ -475,3 +475,25 @@ class TestBench:
                      "--out", str(tmp_path / "b.csv")]) == 2
         assert main(["bench", "--n-grid", "10", "--p-grid", "0",
                      "--out", str(tmp_path / "b.csv")]) == 2
+
+
+@pytest.mark.parametrize("work, argv, directory", [
+    ("fast_sample", ["sample", "phi.csv", "d.csv", "alpha.csv", "--out", "out.csv"], "out.csv"),
+    ("run_chain", ["fit", "x.csv", "y.csv", "--save-draws", "--out", "fit"], "fit_draws.csv"),
+    ("run_replicates", ["simulate", "--n", "30", "--p", "20", "--out", "out.csv"], "out.csv"),
+    ("run_bench", ["bench", "--n-grid", "10", "--p-grid", "40", "--out", "out.csv"], "out.csv"),
+], ids=["sample", "fit", "simulate", "bench"])
+def test_directory_out_fails_before_work(work, argv, directory, tmp_path, unit_instance,
+                                         monkeypatch, capsys):
+    # An output path that is an existing directory exits 2 before any
+    # work; for fit --save-draws it is the draws file that is a directory.
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} called before the output was checked")
+
+    write(tmp_path / "x.csv", "1\n0.5\n-0.5\n")
+    write(tmp_path / "y.csv", "1\n0.4\n-0.6\n")
+    (tmp_path / directory).mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, work, no_work)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {directory}: cannot write: is a directory\n"

@@ -184,8 +184,7 @@ class TestRunReplicates:
 
 class TestRunBench:
     def test_rows_and_slopes(self):
-        result = run_bench([10], [40, 80], repetitions=5, seed=1,
-                           min_total_seconds=0.01)
+        result = run_bench([10], [40, 80], repetitions=5, seed=1)
         methods = {r.method for r in result.rows}
         assert methods == {"fast", "baseline"}
         assert len(result.rows) == 4
@@ -193,8 +192,7 @@ class TestRunBench:
         assert ("fast", 10) in result.slopes and ("baseline", 10) in result.slopes
 
     def test_single_point_grid(self):
-        result = run_bench([10], [50], repetitions=5, seed=1,
-                           min_total_seconds=0.01)
+        result = run_bench([10], [50], repetitions=5, seed=1)
         assert len(result.rows) == 2
         assert result.slopes == {}
         text = render_bench_csv(result)
@@ -236,7 +234,7 @@ class TestBlasPin:
             lib.set_threads(2)
         start = [lib.get_threads() for lib in libs]
         seen = self.spy_on_timing(monkeypatch, libs)
-        run_bench([10], [40, 80], repetitions=5, seed=1, min_total_seconds=0.01)
+        run_bench([10], [40, 80], repetitions=5, seed=1)
         assert len(seen) == 2 * 2 * 3  # methods x grid points x passes
         assert set(seen) == {(1, 1)}
         assert [lib.get_threads() for lib in libs] == start
@@ -245,12 +243,12 @@ class TestBlasPin:
         seen = self.spy_on_timing(monkeypatch, libs)
         monkeypatch.setattr(OpenBlas, "get_threads", lambda self: 2)
         with pytest.raises(BlasPinError, match="read back 2 threads, not 1"):
-            run_bench([10], [40, 80], repetitions=5, seed=1, min_total_seconds=0.01)
+            run_bench([10], [40, 80], repetitions=5, seed=1)
         assert seen == []
 
     def test_missing_library_refuses_before_timing(self, monkeypatch, libs):
         seen = self.spy_on_timing(monkeypatch, libs)
         monkeypatch.setattr("fastmvg.blas.glob.glob", lambda pattern: [])
         with pytest.raises(BlasPinError, match="expected one libscipy_openblas"):
-            run_bench([10], [40, 80], repetitions=5, seed=1, min_total_seconds=0.01)
+            run_bench([10], [40, 80], repetitions=5, seed=1)
         assert seen == []

@@ -12,7 +12,7 @@ from fastmvg import (
     ChainConfig,
     ConfigError,
     DiagonalScale,
-    HorseshoeState,
+    DimensionMismatch,
     NotPositiveDefinite,
     RegressionData,
     RngStream,
@@ -34,15 +34,6 @@ from conftest import (
     rejection_sample,
     woodbury_theta,
 )
-
-
-def make_state(beta, lam, tau=1.0, sigma2=1.0):
-    return HorseshoeState(
-        beta=np.asarray(beta, dtype=float),
-        lam=np.asarray(lam, dtype=float),
-        tau=float(tau),
-        sigma2=float(sigma2),
-    )
 
 
 def beta_factor(data, lam, tau):
@@ -162,17 +153,16 @@ class TestUpdateLambda:
     def test_zero_signal_degenerates_to_uniform(self):
         # beta_j = 0 gives mass 0 in the exponential part: the slice
         # interval (0, 1) is sampled uniformly, so u = 0.5 -> eta = 0.5.
-        state = make_state([0.0], [1.0])
         stub = QueuedStream(uniforms=[1.0, 0.5])  # s = 0.5, bound = 1
-        lam = update_lambda(state, stub)
+        lam = update_lambda(np.zeros(1), np.ones(1), 1.0, 1.0, stub)
         assert lam[0] == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
     def test_truncated_exponential_inversion(self):
         # m = 1, bound = 1, u = 0.5: inverse CDF of the truncated
         # exponential gives -log(1 - u (1 - e^-1)) ~= 0.37989.
-        state = make_state([np.sqrt(2.0)], [1.0])  # m = beta^2/2 = 1
+        beta = np.array([np.sqrt(2.0)])  # m = beta^2/2 = 1
         stub = QueuedStream(uniforms=[1.0, 0.5])
-        lam = update_lambda(state, stub)
+        lam = update_lambda(beta, np.ones(1), 1.0, 1.0, stub)
         eta = 1.0 / lam[0] ** 2
         expected = -np.log(1.0 - 0.5 * (1.0 - np.exp(-1.0)))
         assert eta == pytest.approx(expected, rel=1e-12)
@@ -190,16 +180,20 @@ class TestUpdateLambda:
             propose=lambda g, k: g.exponential(1.0, size=k),
             accept_prob=lambda c: 1.0 / (1.0 + c),
         )
-        state = make_state(np.full(n_states, np.sqrt(2.0)), 1.0 / np.sqrt(eta0))
-        lam1 = update_lambda(state, RngStream(22, 0))
+        beta = np.full(n_states, np.sqrt(2.0))
+        lam1 = update_lambda(beta, 1.0 / np.sqrt(eta0), 1.0, 1.0, RngStream(22, 0))
         eta1 = 1.0 / lam1**2
         grid, cdf = quadrature_cdf(lambda t: -t - np.log1p(t), hi=50.0)
         assert ks_statistic(eta0, grid, cdf) < 0.01  # oracle sanity
         assert ks_statistic(eta1, grid, cdf) < 0.01
 
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="beta and lam must have the same length"):
+            update_lambda(np.zeros(2), np.ones(3), 1.0, 1.0, RngStream(24, 0))
+
     def test_positivity_extreme_inputs(self):
-        state = make_state([1e8, 0.0, 1e-8], [1e-6, 1e6, 1.0], tau=1e-4, sigma2=1e-4)
-        lam = update_lambda(state, RngStream(23, 0))
+        beta = np.array([1e8, 0.0, 1e-8])
+        lam = update_lambda(beta, np.array([1e-6, 1e6, 1.0]), 1e-4, 1e-4, RngStream(23, 0))
         assert np.all(np.isfinite(lam)) and np.all(lam > 0)
 
 
@@ -502,6 +496,14 @@ class TestRunChain:
         with pytest.raises(NotPositiveDefinite, match=r"^iteration 3, block sigma2: boom$") as info:
             run_chain(self.small_data(), ChainConfig(n_iter=10, burn_in=1, seed=1))
         assert isinstance(info.value.__cause__, NotPositiveDefinite)
+
+    def test_state_check_names_the_bad_scale(self, monkeypatch):
+        # An infinite sigma^2 passes update_beta (alpha = y / sigma is 0),
+        # so the scale check after the beta draw is what raises.
+        monkeypatch.setattr(horseshoe, "update_sigma2", lambda q, data, rng: math.inf)
+        with pytest.raises(ValueError,
+                           match=r"^iteration 1, block state: sigma2 must be finite and positive$"):
+            run_chain(self.small_data(), ChainConfig(n_iter=10, burn_in=1, seed=1))
 
     def test_joint_scale_marginal_matches_quadrature(self):
         # n = 3, p = 1, sigma^2 sampled: the kept (tau, sigma^2) draws of a
