@@ -41,7 +41,7 @@ from .horseshoe import (
     update_sigma2,
     update_tau,
 )
-from .linalg import SpdFactor, cholesky, solve_lower, solve_spd
+from .linalg import SpdFactor, solve_lower, solve_spd
 from .rng import RngStream, derive_seed
 from .structured import (
     AugmentedDraw,
@@ -79,7 +79,6 @@ __all__ = [
     "TauDraw",
     "WEAK_SIGNALS",
     "baseline_sample",
-    "cholesky",
     "compute_metrics",
     "derive_seed",
     "fast_sample",

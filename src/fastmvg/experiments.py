@@ -15,6 +15,7 @@ is checked without hardware-specific constants.
 """
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -52,6 +53,11 @@ class SimDesign:
     n_replicates: int = 10
 
     def __post_init__(self):
+        for name in ("n", "p", "sparsity", "n_replicates"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer") from None
         if self.n < 2 or self.p < 1:
             raise ConfigError("need n >= 2 and p >= 1")
         if not (self.sigma > 0.0 and self.sigma * self.sigma < np.inf):

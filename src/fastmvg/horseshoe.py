@@ -37,6 +37,7 @@ state as locals and checks its scales after every iteration.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -117,6 +118,11 @@ class ChainConfig:
     fixed_sigma: float | None = None
 
     def __post_init__(self):
+        for name in ("n_iter", "burn_in", "thin", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer") from None
         if self.n_iter < 1:
             raise ConfigError("n_iter must be positive")
         if not 0 <= self.burn_in < self.n_iter:

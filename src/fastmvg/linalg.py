@@ -8,11 +8,12 @@ per call that is larger than the factorization itself at n = 50, and
 that constant would flatten the linear-in-p scaling of the fast
 sampler.
 
-``cholesky`` reads the upper triangle of a C-ordered matrix and runs no
-symmetry scan and no pivot floor, but it is the one place that rejects
-a non-finite matrix: a non-positive, NaN or infinite pivot raises
-NotPositiveDefinite, at O(n) cost.  A caller that holds a matrix from
-outside the package validates it first, as ``structured.DenseSpdScale`` does.
+``cholesky`` factors a C-ordered matrix in place, reading its upper
+triangle only, and runs no symmetry scan and no pivot floor, but it is
+the one place that rejects a non-finite matrix: a non-positive, NaN or
+infinite pivot raises NotPositiveDefinite, at O(n) cost.  A caller that
+holds a matrix from outside the package validates it first, as
+``structured.DenseSpdScale`` does.
 """
 from __future__ import annotations
 
@@ -45,7 +46,11 @@ def _check_rhs(factor: "SpdFactor", b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpdFactor:
-    """Lower-triangular Cholesky factor L with L @ L.T == A."""
+    """Lower-triangular Cholesky factor L with L @ L.T == A.
+
+    Every factor that leaves its maker has an exactly zero strict upper
+    triangle, so ``lower`` can be used as a full matrix (``L @ z``).
+    """
 
     lower: np.ndarray  # Fortran-ordered when made by cholesky, as LAPACK wants it
 
@@ -71,22 +76,18 @@ def syrk(b: np.ndarray) -> np.ndarray:
     return blas.dsyrk(1.0, b.T, trans=1, lower=1).T
 
 
-def cholesky(a: np.ndarray, *, overwrite_a: bool = False) -> SpdFactor:
-    """Factor a symmetric positive-definite matrix.
+def cholesky(a: np.ndarray) -> SpdFactor:
+    """Factor a symmetric positive-definite matrix in place.
 
-    Reads only the upper triangle of a C-ordered ``a`` (the lower
-    triangle of a Fortran-ordered one); the other triangle is never
-    looked at, so an asymmetric ``a`` is not detected.  No symmetry
-    scan and no pivot floor run here: callers factor matrices that are
-    SPD by construction, and a matrix from outside the package is
-    validated before it gets here (``structured.DenseSpdScale``).
-    Raises NotPositiveDefinite for a non-positive, NaN or infinite pivot,
-    which any NaN or infinite entry of the triangle read gives.
-
-    overwrite_a=True lets LAPACK factor a C-contiguous float64 ``a`` in
-    place, so ``a`` is destroyed; callers pass it for temporaries, where
-    the saved allocation and copy are a large share of the cost at
-    moderate dimension.
+    A C-ordered float64 ``a`` is destroyed: ``lower`` is a Fortran-ordered
+    view of its memory (f2py copies any other input).  Only the upper
+    triangle of ``a`` is read, so an asymmetric ``a`` is not detected;
+    the factor's strict upper triangle still holds ``a``'s strict lower
+    one.  No symmetry scan and no pivot floor run here: callers factor
+    matrices that are SPD by construction, and a matrix from outside
+    the package is validated first (``structured.DenseSpdScale``).
+    Raises NotPositiveDefinite for a non-positive, NaN or infinite
+    pivot, which any NaN or infinite entry of the triangle read gives.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
@@ -94,7 +95,7 @@ def cholesky(a: np.ndarray, *, overwrite_a: bool = False) -> SpdFactor:
     # a.T is a Fortran-ordered view of a C-ordered a, which LAPACK takes
     # without a transposing copy; for symmetric a its lower triangle is
     # the transpose of a's upper triangle, so the factor is the same.
-    lower, info = lapack.dpotrf(a.T, lower=1, clean=1, overwrite_a=int(overwrite_a))
+    lower, info = lapack.dpotrf(a.T, lower=1, clean=0, overwrite_a=1)
     _check_info("dpotrf", info)
     # OpenBLAS passes NaN pivots.  Each pivot of a finite a is below
     # 1e155, so the sum is finite exactly when every pivot is.

@@ -16,9 +16,10 @@ instance builds it the first time ``fast_sample``, ``posterior_mean``
 or ``log_density`` asks for it and keeps it, so for diagonal D every
 later draw costs O(np) and the mean and density are solves against the
 kept factor.  M is built as I_n + B B' with B = Phi D^{1/2} by one
-SYRK, which computes one triangle only; B is a temporary, and step (iv)
-forms D (Phi' w) as D times w' Phi, so an instance keeps no n x p array
-beyond ``phi``.  The instance's arrays must not be mutated after
+SYRK, which fills one triangle and zeros the other, and is factored in
+place into an exactly lower-triangular factor.  B is a temporary, and
+step (iv) forms D (Phi' w) as D times w' Phi, so an instance keeps no
+n x p array beyond ``phi``.  The instance's arrays must not be mutated after
 construction.
 
 ``baseline_sample`` draws from the same distribution by forming the
@@ -27,6 +28,7 @@ O(p^3) reference method the fast path is benchmarked against.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass, field
 
@@ -107,7 +109,7 @@ class DenseSpdScale:
         if np.max(np.abs(m - m.T)) > 1e-10 * np.max(np.abs(m)):
             raise ValueError("matrix is not symmetric within tolerance")
         floor = PIVOT_RTOL * float(np.trace(m)) / m.shape[0]
-        factor = cholesky(m)
+        factor = cholesky(np.triu(m))  # zeros below the diagonal: a triangular factor
         pivot = np.min(np.diagonal(factor.lower)) ** 2
         if pivot <= floor:
             raise NotPositiveDefinite(f"pivot {pivot:.3e} at or below floor {floor:.3e}")
@@ -148,27 +150,28 @@ def factor_identity_plus(s: np.ndarray) -> SpdFactor:
     """The Cholesky factor of I + S, built in ``s``, which it destroys.
 
     ``s`` is a C-ordered n x n temporary holding a symmetric S in its
-    upper triangle, the layout ``syrk`` returns; the identity is added
-    to its diagonal in place and the sum is factored in place.  This
-    is the one place where M = I + Phi D Phi' is formed and factored:
-    ``StructuredGaussian`` and the horseshoe chain's global-scale step
-    both call it.  For S positive semidefinite, I + S is SPD with
-    eigenvalues >= 1, so no pivot floor runs; one would misfire for
-    large D.
+    upper triangle and zeros below it, the layout ``syrk`` returns; the
+    identity is added to its diagonal and the sum is factored in place,
+    so the factor is exactly lower triangular.  This is the one place
+    where M = I + Phi D Phi' is formed and factored: ``StructuredGaussian``
+    and the horseshoe chain's global-scale step both call it.  For S
+    positive semidefinite, I + S is SPD with eigenvalues >= 1, so no
+    pivot floor runs; one would misfire for large D.
     """
     s.ravel()[:: s.shape[0] + 1] += 1.0  # s is C-contiguous: ravel is a view
-    return cholesky(s, overwrite_a=True)
+    return cholesky(s)
 
 
 @dataclass(frozen=True)
 class StructuredGaussian:
     """Problem instance (phi, D, alpha) and, once used, its n x n factor.
 
-    The factor of Phi D Phi' + I_n is built on first use and kept, so
-    repeated draws, the mean and the density on one instance share it.
-    Construction checks shapes and a finite alpha; a NaN, infinite or
-    overflowing phi raises NotPositiveDefinite from ``cholesky`` when
-    M (or Phi' Phi + D^-1 in ``baseline_sample``) is factored.
+    The factor of Phi D Phi' + I_n is built on first use and kept by
+    ``functools.cached_property``, so repeated draws, the mean and the
+    density on one instance share it.  Construction checks shapes and a
+    finite alpha; a NaN, infinite or overflowing phi raises
+    NotPositiveDefinite from ``cholesky`` when M (or Phi' Phi + D^-1 in
+    ``baseline_sample``) is factored.
     Do not mutate phi, alpha or the scale's arrays after construction:
     the kept factor would no longer match them.  A changed D needs a
     new instance (``dataclasses.replace`` gives one with no factor).
@@ -210,7 +213,7 @@ class StructuredGaussian:
         if _factor is not None:
             if _factor.dim != n:
                 raise DimensionMismatch(f"factor order {_factor.dim} does not match phi rows {n}")
-            self.__dict__["_coupling_cache"] = _factor
+            self.__dict__["_coupling"] = _factor
 
     @property
     def n(self) -> int:
@@ -220,22 +223,11 @@ class StructuredGaussian:
     def p(self) -> int:
         return self.phi.shape[1]
 
-    @property
+    @functools.cached_property
     def _coupling(self) -> SpdFactor:
-        """The factor of the n x n system matrix M = Phi D Phi' + I_n.
-
-        Built on first use and kept in the instance dict.  Threads that
-        race on a new instance may each build it; the builds are equal,
-        so whichever is kept is correct.  Not a functools.cached_property:
-        before Python 3.12 that holds one lock for all instances, which
-        serializes the builds of separate instances on separate threads.
-        """
-        factor = self.__dict__.get("_coupling_cache")
-        if factor is None:
-            # M = I + B B' for B = Phi D^{1/2}.
-            factor = factor_identity_plus(syrk(self.scale.phi_times_scale(self.phi)))
-            self.__dict__["_coupling_cache"] = factor  # frozen: bypass __setattr__
-        return factor
+        """The factor of the n x n system matrix M = Phi D Phi' + I_n."""
+        # M = I + B B' for B = Phi D^{1/2}.
+        return factor_identity_plus(syrk(self.scale.phi_times_scale(self.phi)))
 
 
 @dataclass(frozen=True)
@@ -288,7 +280,7 @@ def baseline_sample(g: StructuredGaussian, rng: RngStream) -> np.ndarray:
     g.scale.add_inverse_inplace(q)
     # Q = Phi' Phi + D^-1 is SPD for a finite Phi (D is validated SPD);
     # a NaN, inf or overflow in Q fails cholesky's pivot checks.
-    factor = cholesky(q, overwrite_a=True)
+    factor = cholesky(q)
     # mu + L^-T z = L^-T (L^-1 Phi' alpha + z): two triangular solves.
     w = solve_lower(factor, g.phi.T @ g.alpha)
     z = rng.standard_normal(g.p)

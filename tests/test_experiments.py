@@ -84,6 +84,9 @@ class TestGenDesign:
         for sigma in (np.inf, 1e200):  # 1e200 has no finite sigma^2
             with pytest.raises(ConfigError):
                 SimDesign(n=10, p=5, sigma=sigma)
+        for name, bad in (("n", 5.5), ("p", 5.0), ("sparsity", 2.0), ("n_replicates", 2.5)):
+            with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+                SimDesign(**{"n": 10, "p": 5, name: bad})
 
 
 class TestComputeMetrics:

@@ -564,6 +564,9 @@ class TestRunChain:
             ChainConfig(n_iter=10, burn_in=5, thin=10)  # zero kept draws
         with pytest.raises(ConfigError):
             ChainConfig(fixed_sigma=np.inf)
+        for name, bad in (("n_iter", 1e4), ("burn_in", 10.0), ("thin", 2.5), ("seed", 1.5)):
+            with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+                ChainConfig(**{name: bad})
 
     def test_data_validation(self):
         with pytest.raises(Exception):

@@ -14,15 +14,17 @@ from fastmvg import (
     DiagonalScale,
     DimensionMismatch,
     NotPositiveDefinite,
+    RegressionData,
     RngStream,
     SpdFactor,
     StructuredGaussian,
     baseline_sample,
-    cholesky,
     fast_sample,
     log_density,
     posterior_mean,
+    update_tau,
 )
+from fastmvg.linalg import cholesky, syrk
 
 from conftest import (
     QueuedStream,
@@ -56,7 +58,7 @@ class TestScaleStructures:
         # Singular at working precision: LAPACK accepts the second pivot
         # (about 1e-13), but it is below PIVOT_RTOL * trace / 2 = 1e-12.
         a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
-        assert np.diagonal(cholesky(a).lower)[1] > 0.0
+        assert np.diagonal(cholesky(a.copy()).lower)[1] > 0.0
         with pytest.raises(NotPositiveDefinite, match="floor"):
             DenseSpdScale(a)
 
@@ -361,6 +363,22 @@ class TestKeptFactor:
         assert calls == [(4, 4), (4, 4)]
         with pytest.raises(DimensionMismatch):
             StructuredGaussian(g.phi, g.scale, g.alpha, cholesky(np.eye(3)))
+
+    def test_every_factor_handed_out_is_triangular(self):
+        # A factor is read as a full matrix (L @ z, Phi @ L), so its strict
+        # upper triangle must be exactly zero, whoever made it.  Orders
+        # above 32 take OpenBLAS's blocked dpotrf.
+        gen = np.random.default_rng(89)
+        n, p = 40, 60
+        m = gen.standard_normal((p, p))
+        data = RegressionData(gen.standard_normal((n, p)), gen.standard_normal(n))
+        factors = [
+            DenseSpdScale(m @ m.T + np.eye(p)).factor,
+            update_tau(data, gen.uniform(0.2, 3.0, p), 0.7, RngStream(10, 0)).factor,
+            structured.factor_identity_plus(syrk(gen.standard_normal((n, p)))),
+        ]
+        for f in factors:
+            assert np.count_nonzero(np.triu(f.lower, 1)) == 0
 
     def test_shared_instance_across_threads(self):
         # Threads that race to build one instance's factor must each get
