@@ -41,11 +41,15 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite):
             cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
-    def test_indefinite_raises_at_lapack_order(self):
+    @pytest.mark.parametrize("fortran_order", [False, True])
+    def test_indefinite_raises_at_lapack_order(self, fortran_order):
         # Only LAPACK's own pivot check stands between an indefinite input
-        # and a factor, so dpotrf's info > 0 must raise.
+        # and a factor, so dpotrf's info > 0 must raise, both when a C-ordered
+        # input is factored in place and when f2py factors a copy.
         a = np.diag([4.0, 1.0, -1.0, 2.0])
         a[0, 1] = a[1, 0] = 0.5
+        if fortran_order:
+            a = np.asfortranarray(a)
         with pytest.raises(NotPositiveDefinite, match="order 3"):
             cholesky(a)
 
