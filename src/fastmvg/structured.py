@@ -13,14 +13,18 @@ dense D):
 
 Step (iii) needs the Cholesky factor of M = Phi D Phi' + I_n.  An
 instance builds it the first time ``fast_sample``, ``posterior_mean``
-or ``log_density`` asks for it and keeps it, so for diagonal D every
-later draw costs O(np) and the mean and density are solves against the
-kept factor.  M is built as I_n + B B' with B = Phi D^{1/2} by one
-SYRK, which fills one triangle and zeros the other, and is factored in
-place into an exactly lower-triangular factor.  B is a temporary, and
-step (iv) forms D (Phi' w) as D times w' Phi, so an instance keeps no
-n x p array beyond ``phi``.  The instance's arrays must not be mutated after
-construction.
+or ``log_density`` asks for it and keeps it, together with M^-1 alpha
+and log |Sigma^-1| = log |M| - log |D|; a scale keeps log |D|, and a
+diagonal scale also keeps D^{1/2}.  Each is computed on first use.
+For diagonal D, every later draw then costs p + n standard normals,
+two passes over Phi and one n x n solve, the mean costs one pass over
+Phi, and a density one pass over Phi plus O(p).  M is built as
+I_n + B B' with B = Phi D^{1/2} by one SYRK, which fills one triangle
+and zeros the other, and is factored in place into an exactly
+lower-triangular factor.  B is a temporary, and step (iv) forms
+D (Phi' w) as D times w' Phi, so an instance keeps no n x p array
+beyond ``phi``.  No kept array is returned to a caller.  The
+instance's arrays must not be mutated after construction.
 
 ``baseline_sample`` draws from the same distribution by forming the
 p x p precision matrix and factoring it at every call, which is the
@@ -63,12 +67,17 @@ class DiagonalScale:
     def dim(self) -> int:
         return self.d.shape[0]
 
+    @functools.cached_property
+    def _sqrt_d(self) -> np.ndarray:
+        """D^{1/2}, read by every draw and by the build of Phi D Phi'."""
+        return np.sqrt(self.d)
+
     def sample_zero_mean(self, rng: RngStream) -> np.ndarray:
-        return np.sqrt(self.d) * rng.standard_normal(self.dim)
+        return self._sqrt_d * rng.standard_normal(self.dim)
 
     def phi_times_scale(self, phi: np.ndarray) -> np.ndarray:
         """Phi D^{1/2}, a new n x p array B with B B' = Phi D Phi': O(np)."""
-        return phi * np.sqrt(self.d)
+        return phi * self._sqrt_d
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """D x."""
@@ -80,7 +89,7 @@ class DiagonalScale:
     def add_inverse_inplace(self, q: np.ndarray) -> None:
         q.flat[:: self.dim + 1] += 1.0 / self.d
 
-    @property
+    @functools.cached_property
     def log_det(self) -> float:
         return float(np.sum(np.log(self.d)))
 
@@ -138,7 +147,7 @@ class DenseSpdScale:
     def add_inverse_inplace(self, q: np.ndarray) -> None:
         q += solve_spd(self.factor, np.eye(self.dim))
 
-    @property
+    @functools.cached_property
     def log_det(self) -> float:
         return self.factor.log_det
 
@@ -166,15 +175,19 @@ def factor_identity_plus(s: np.ndarray) -> SpdFactor:
 class StructuredGaussian:
     """Problem instance (phi, D, alpha) and, once used, its n x n factor.
 
-    The factor of Phi D Phi' + I_n is built on first use and kept by
+    The factor of M = Phi D Phi' + I_n, M^-1 alpha and log |Sigma^-1|
+    are each computed on first use and kept by
     ``functools.cached_property``, so repeated draws, the mean and the
-    density on one instance share it.  Construction checks shapes and a
+    densities on one instance share them: after the first call a draw
+    costs p + n normals, two passes over Phi and one n x n solve, and a
+    density one pass over Phi plus O(p).  Construction checks shapes and a
     finite alpha; a NaN, infinite or overflowing phi raises
     NotPositiveDefinite from ``cholesky`` when M (or Phi' Phi + D^-1 in
     ``baseline_sample``) is factored.
     Do not mutate phi, alpha or the scale's arrays after construction:
-    the kept factor would no longer match them.  A changed D needs a
-    new instance (``dataclasses.replace`` gives one with no factor).
+    the kept values would no longer match them.  A changed D needs a
+    new instance (``dataclasses.replace`` gives one that keeps nothing;
+    it shares the scale, which keeps its own log |D| and D^{1/2}).
 
     ``_factor`` is private: a caller that has already factored
     M = Phi D Phi' + I_n (the horseshoe chain's global-scale step does)
@@ -229,6 +242,16 @@ class StructuredGaussian:
         # M = I + B B' for B = Phi D^{1/2}.
         return factor_identity_plus(syrk(self.scale.phi_times_scale(self.phi)))
 
+    @functools.cached_property
+    def _m_inv_alpha(self) -> np.ndarray:
+        """M^-1 alpha, read by the mean and by every density."""
+        return solve_spd(self._coupling, self.alpha)
+
+    @functools.cached_property
+    def _log_det_prec(self) -> float:
+        """log |Sigma^-1| = log |M| - log |D|."""
+        return -self.scale.log_det + self._coupling.log_det
+
 
 @dataclass(frozen=True)
 class AugmentedDraw:
@@ -264,8 +287,7 @@ def fast_sample(g: StructuredGaussian, rng: RngStream) -> AugmentedDraw:
 
 def posterior_mean(g: StructuredGaussian) -> np.ndarray:
     """mu = D Phi' (Phi D Phi' + I)^-1 alpha, the u = delta = 0 case."""
-    w = solve_spd(g._coupling, g.alpha)
-    return g.scale.matvec(w @ g.phi)
+    return g.scale.matvec(g._m_inv_alpha @ g.phi)
 
 
 def baseline_sample(g: StructuredGaussian, rng: RngStream) -> np.ndarray:
@@ -291,8 +313,9 @@ def log_density(g: StructuredGaussian, x: np.ndarray) -> float:
     """log N(x; mu, Sigma) using only n x n factorizations.
 
     log |Sigma^-1| = log |D^-1| + log |I_n + Phi D Phi'| and the
-    quadratic form expands through Sigma^-1 mu = Phi' alpha, so the
-    whole evaluation is O(n^3 + n^2 p) for diagonal D.  It never
+    quadratic form expands through Sigma^-1 mu = Phi' alpha, so for
+    diagonal D the first call on an instance costs O(n^3 + n^2 p) and
+    each later one a pass over Phi plus O(p).  It never
     returns NaN: where the value would be NaN, as for a NaN entry of x
     or for an infinite one whose terms cancel as inf - inf, it raises
     ValueError.  An infinite x whose terms do not cancel gives -inf.
@@ -300,13 +323,12 @@ def log_density(g: StructuredGaussian, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (g.p,):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({g.p},)")
-    factor = g._coupling
-    log_det_prec = -g.scale.log_det + factor.log_det
+    log_det_prec = g._log_det_prec
     phi_x = g.phi @ x
     quad_x = float(np.dot(phi_x, phi_x)) + g.scale.inv_quad(x)
     cross = float(np.dot(phi_x, g.alpha))
     # mu' Sigma^-1 mu = alpha' (I - M^-1) alpha for M = Phi D Phi' + I.
-    quad_mu = float(np.dot(g.alpha, g.alpha) - np.dot(g.alpha, solve_spd(factor, g.alpha)))
+    quad_mu = float(np.dot(g.alpha, g.alpha) - np.dot(g.alpha, g._m_inv_alpha))
     quad = quad_x - 2.0 * cross + quad_mu
     value = -0.5 * g.p * LOG_2PI + 0.5 * log_det_prec - 0.5 * quad
     if math.isnan(value):  # one O(1) check, not a scan of x

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import tracemalloc
@@ -320,6 +321,63 @@ class TestKeptFactor:
         fast_sample(replace(g), rng)
         assert calls == [(4, 4), (4, 4)]
 
+    def test_mean_and_densities_share_one_solve(self, monkeypatch):
+        # M^-1 alpha is solved once per instance, for the mean and every density.
+        g = random_instance(90, n=4, p=9)
+        calls = []
+        real = structured.solve_spd
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(structured, "solve_spd", counting)
+        posterior_mean(g)
+        for x in np.random.default_rng(91).standard_normal((5, 9)):
+            log_density(g, x)
+        assert calls == [(4,)]
+
+    def test_scale_constants_computed_once(self, monkeypatch):
+        # log|D| and D^{1/2} of a diagonal scale are evaluated once, across
+        # the build of M, five draws and five densities.
+        g = random_instance(92, n=4, p=9)
+        counting = CountingNumpy("log", "sqrt")
+        monkeypatch.setattr(structured, "np", counting)
+        rng = RngStream(4, 0)
+        for _ in range(5):
+            log_density(g, fast_sample(g, rng).theta)
+        assert counting.calls.count("log") == 1
+        assert counting.calls.count("sqrt") == 1
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_used_instance_matches_fresh_copy(self, dense):
+        # After draws, the mean and the densities of an instance equal, bit
+        # for bit, those of a copy that keeps nothing, scale included.
+        g = random_instance(93, n=4, p=9, dense=dense)
+        rng = RngStream(7, 0)
+        xs = [fast_sample(g, rng).theta for _ in range(3)]
+        fresh = replace(g, scale=replace(g.scale))
+        np.testing.assert_array_equal(posterior_mean(g), posterior_mean(fresh))
+        for x in xs:
+            assert log_density(g, x) == log_density(fresh, x)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_mutating_results_changes_nothing(self, dense):
+        # What a call returns is the caller's: writing to a mean or to a
+        # draw's arrays leaves later means, draws and densities unchanged.
+        g = random_instance(94, n=4, p=9, dense=dense)
+        fresh = replace(g, scale=replace(g.scale))
+        x = np.random.default_rng(95).standard_normal(9)
+        posterior_mean(g)[:] = np.nan
+        draw = fast_sample(g, RngStream(8, 0))
+        for name in ("u", "delta", "v", "w", "theta"):
+            getattr(draw, name)[:] = np.nan
+        np.testing.assert_array_equal(posterior_mean(g), posterior_mean(fresh))
+        assert log_density(g, x) == log_density(fresh, x)
+        kept, again = fast_sample(g, RngStream(9, 0)), fast_sample(fresh, RngStream(9, 0))
+        for name in ("u", "delta", "v", "w", "theta"):
+            np.testing.assert_array_equal(getattr(kept, name), getattr(again, name))
+
     @pytest.mark.parametrize("dense", [False, True])
     def test_draws_match_fresh_instances(self, dense):
         # k draws on one instance equal, bit for bit, k draws that each
@@ -381,19 +439,30 @@ class TestKeptFactor:
             assert np.count_nonzero(np.triu(f.lower, 1)) == 0
 
     def test_shared_instance_across_threads(self):
-        # Threads that race to build one instance's factor must each get
-        # the draws a single thread gets from the same stream.
+        # Threads that race to build one instance's factor and constants,
+        # starting from a draw, the mean or a density, must each get the
+        # results a single thread gets on a fresh copy.
         g = random_instance(87, n=6, p=40)
-        expected = [fast_sample(replace(g), RngStream(9, k)).theta for k in range(8)]
+        x = np.random.default_rng(96).standard_normal(40)
+
+        def results(h, k):
+            # Thread k starts from the draw, the mean or the density, by k % 3.
+            steps = {"draw": lambda: fast_sample(h, RngStream(9, k)).theta,
+                     "mean": lambda: posterior_mean(h),
+                     "density": lambda: log_density(h, x)}
+            names = list(steps)[k % 3:] + list(steps)[:k % 3]
+            return {name: steps[name]() for name in names}
+
+        expected = [results(replace(g, scale=replace(g.scale)), k) for k in range(8)]
 
         def work(k):
-            got[k] = fast_sample(shared, RngStream(9, k)).theta
+            got[k] = results(shared, k)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
-                shared, got = replace(g), [None] * 8
+                shared, got = replace(g, scale=replace(g.scale)), [None] * 8
                 threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
                 for t in threads:
                     t.start()
@@ -401,9 +470,30 @@ class TestKeptFactor:
                     t.join(timeout=10)
                 assert not any(t.is_alive() for t in threads)
                 for k in range(8):
-                    np.testing.assert_array_equal(got[k], expected[k])
+                    np.testing.assert_array_equal(got[k]["draw"], expected[k]["draw"])
+                    np.testing.assert_array_equal(got[k]["mean"], expected[k]["mean"])
+                    assert got[k]["density"] == expected[k]["density"]
         finally:
             sys.setswitchinterval(interval)
+
+
+class CountingNumpy:
+    """numpy, with each call to one of ``names`` recorded in ``calls``."""
+
+    def __init__(self, *names):
+        self.calls = []
+        self._names = names
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name not in self._names:
+            return fn
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return fn(*args, **kwargs)
+
+        return counted
 
 
 def assert_every_consumer_raises(g):
@@ -475,6 +565,82 @@ class TestHostileScales:
         g = StructuredGaussian(np.full((n, p), 1e200), scale, np.ones(n))
         with np.errstate(over="ignore"):  # Phi' Phi in baseline_sample
             assert_every_consumer_raises(g)
+
+
+@st.composite
+def hostile_instances(draw, dense):
+    """(phi, D, alpha) with n <= 4, p <= 5 and scales from 1e-300 to 1e300.
+
+    ``phi`` is independent, near-collinear (every column within 1e-12 to
+    1e-4 of one column) or rank-deficient (rank min(n, p) - 1, so zero
+    when n or p is 1); ``alpha`` is in the span of ``phi`` or not.  A
+    diagonal D has entries spread over 1e-300 to 1e300; a dense D is
+    s Q diag(e) Q' for a random rotation Q, e in [1, 1e6] and s from
+    1e-300 to 1e300.
+    """
+    n, p = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["independent", "near_collinear", "rank_deficient"]))
+    if kind == "independent":
+        phi = gen.standard_normal((n, p))
+    elif kind == "near_collinear":
+        spread = 10.0 ** -draw(st.floats(4.0, 12.0))
+        phi = gen.standard_normal((n, 1)) + spread * gen.standard_normal((n, p))
+    else:
+        k = min(n, p) - 1
+        phi = gen.standard_normal((n, k)) @ gen.standard_normal((k, p))
+    alpha = phi @ gen.standard_normal(p) if draw(st.booleans()) else gen.standard_normal(n)
+    if dense:
+        q, _ = np.linalg.qr(gen.standard_normal((p, p)))
+        m = q @ np.diag(10.0 ** gen.uniform(0.0, 6.0, p)) @ q.T
+        cov = 10.0 ** draw(st.floats(-300.0, 300.0)) * (m + m.T) / 2.0
+    else:
+        cov = 10.0 ** np.array(draw(st.lists(st.floats(-300.0, 300.0), min_size=p, max_size=p)))
+    return phi, cov, alpha
+
+
+class TestSamplerFuzz:
+    """fast_sample, posterior_mean and log_density on hostile instances.
+
+    Each either raises NotPositiveDefinite or returns a finite draw and
+    mean and a density that is not NaN.  Where float64 fixes the answer
+    to 1e-10, each also matches its dense oracle to 1e-10.  A draw is
+    u + D Phi' w with u at the prior's scale, which the sum cancels down
+    to the posterior's, so it loses up to log10 |M|_2 digits for
+    M = I + Phi D Phi': draws and means are compared where |M|_2 <= 1e4.
+    The density oracle inverts Phi' Phi + D^-1, so densities are also
+    compared only where that matrix's condition number is at most 1e4.
+    """
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_matches_oracle_or_raises(self, dense, data):
+        phi, cov, alpha = data.draw(hostile_instances(dense))
+        g = StructuredGaussian(phi, DenseSpdScale(cov) if dense else DiagonalScale(cov), alpha)
+        try:
+            draw = fast_sample(g, RngStream(3, 0))
+            mu = posterior_mean(g)
+            logs = [log_density(g, draw.theta), log_density(g, mu)]
+        except NotPositiveDefinite:
+            return
+        assert np.all(np.isfinite(draw.theta)) and np.all(np.isfinite(mu))
+        assert not any(math.isnan(v) for v in logs)
+        d = dense_d_matrix(g.scale)
+        with np.errstate(over="ignore", invalid="ignore"):  # past the gates below
+            m = g.phi @ d @ g.phi.T + np.eye(g.n)
+        if not (np.all(np.isfinite(m)) and np.linalg.norm(m, 2) <= 1e4):
+            return
+        np.testing.assert_allclose(draw.theta, woodbury_theta(g, draw.u, draw.delta),
+                                   rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(mu, woodbury_theta(g, np.zeros(g.p), np.zeros(g.n)),
+                                   rtol=1e-10, atol=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            prec = g.phi.T @ g.phi + np.linalg.inv(d)
+        if not (np.all(np.isfinite(prec)) and np.linalg.cond(prec) <= 1e4):
+            return
+        for x, value in zip((draw.theta, mu), logs):
+            assert value == pytest.approx(dense_log_density(g, x), rel=1e-10)
 
 
 class TestBlockDecomposition:
