@@ -274,10 +274,11 @@ def _time_block(sampler, g: StructuredGaussian, rng: RngStream,
     times = []
     total = 0.0
     while len(times) < repetitions or total < min_total:
-        # Time each draw on a fresh copy with no kept n x n system, and
-        # free that copy inside the clock: building and dropping the
-        # system is the per-draw cost of a new D in a Gibbs iteration.
-        fresh = replace(g)
+        # Time each draw on a fresh copy with a fresh scale, so no n x n
+        # system and no D^{1/2} is kept, and free that copy inside the
+        # clock: building both and dropping them is the per-draw cost of
+        # a new D in a Gibbs iteration.
+        fresh = replace(g, scale=replace(g.scale))
         t0 = time.perf_counter()
         sampler(fresh, rng)
         del fresh

@@ -33,6 +33,12 @@ factor as a required argument: the beta draw builds no system.
 
 The four updates take plain arrays and scalars; run_chain holds the
 state as locals and checks its scales after every iteration.
+
+scipy.special, which only the sampled-sigma^2 steps use, is imported
+inside _log_sigma2_integral and update_sigma2, not with this module: a
+process that only samples structured Gaussians, or runs a fixed_sigma
+chain, never loads it, and a sampled-sigma^2 chain loads it in its
+first iteration.
 """
 from __future__ import annotations
 
@@ -42,7 +48,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv, hyp1f1
 
 from .errors import ConfigError, DimensionMismatch
 from .linalg import SpdFactor, solve_lower, syrk
@@ -219,6 +224,8 @@ def _log_sigma2_integral(q: float, n: int, floor: float) -> float:
     x^a e^-x M(1, a + 1, x) / Gamma(a + 1) with Kummer's function M;
     at q = 0, a zero response, that form is the exact limit.
     """
+    from scipy.special import gammainc, hyp1f1
+
     a = 0.5 * n
     x = q / (2.0 * floor)
     if x > a:
@@ -281,6 +288,8 @@ def update_sigma2(q: float, data: RegressionData, rng: RngStream) -> float:
     response), the draw is the truncated gamma's q -> 0 limit, the
     power law that gives sigma^2 = f u^(-2/n).
     """
+    from scipy.special import gammainc, gammaincinv
+
     a = 0.5 * data.n
     f = data.sigma2_floor
     u = rng.uniform()

@@ -96,6 +96,33 @@ def dense_log_density(g: StructuredGaussian, x):
     return -0.5 * p * np.log(2 * np.pi) - 0.5 * logdet - 0.5 * quad
 
 
+def whitened_log_density(g: StructuredGaussian, x):
+    """log N(x; mu, Sigma) in whitened coordinates z = L^-1 x, D = L L'.
+
+    L is diag(sqrt(d)) for a diagonal D and the scale's factor for a
+    dense one.  With B = Phi L, Sigma^-1 = L^-T (I + B'B) L^-1: z has
+    precision A = I + B'B and mean A^-1 B' alpha, the least-squares
+    solution of C z = h for C = [B; I] and h = [alpha; 0], and the
+    density of x is that of z times |L|^-1.  Phi'Phi + D^-1 is never
+    inverted, and A is never formed, since forming it rounds away its
+    identity part where B is large: the QR factorization C = QR gives
+    A = R'R, so log |A| = 2 sum log |R_ii| and the quadratic form
+    (z - A^-1 B' alpha)' A (z - A^-1 B' alpha) is |R z - Q'h|^2.
+    """
+    if isinstance(g.scale, DiagonalScale):
+        low = np.diag(np.sqrt(g.scale.d))
+    else:
+        low = g.scale.factor.lower
+    z, b = np.linalg.solve(low, x), g.phi @ low
+    log_det_l = float(np.sum(np.log(np.diagonal(low))))
+    q, r = np.linalg.qr(np.vstack([b, np.eye(g.p)]))
+    h = np.concatenate([g.alpha, np.zeros(g.p)])
+    resid = r @ z - q.T @ h
+    log_det_a = 2.0 * float(np.sum(np.log(np.abs(np.diagonal(r)))))
+    return (-0.5 * g.p * np.log(2 * np.pi) + 0.5 * log_det_a - log_det_l
+            - 0.5 * float(resid @ resid))
+
+
 def random_instance(seed, n, p, dense=False) -> StructuredGaussian:
     """Well-conditioned random problem instance."""
     gen = np.random.default_rng(seed)

@@ -12,6 +12,7 @@ from fastmvg import (
     STRONG_SIGNALS,
     SimDesign,
     compute_metrics,
+    fast_sample,
     gen_design,
     render_bench_csv,
     render_replicates_csv,
@@ -201,6 +202,21 @@ class TestRunBench:
         text = render_bench_csv(result)
         assert text.splitlines()[0] == "method,n,p,median_seconds"
         assert text.endswith("\n")
+
+    def test_each_draw_is_timed_on_a_new_scale(self):
+        # A draw for a new D pays for D^{1/2} as well as the n x n
+        # system, so no timed call may see the instance's kept values.
+        g = experiments._bench_instance(4, 12, seed=1)
+        fast_sample(g, RngStream(1))  # keeps the factor and D^{1/2}
+        seen = []
+
+        def recording(gg, rng):
+            seen.append((gg.scale is not g.scale, "_sqrt_d" not in gg.scale.__dict__,
+                         "_coupling" not in gg.__dict__))
+            fast_sample(gg, rng)
+
+        experiments._time_block(recording, g, RngStream(2), repetitions=5, min_total=0.0)
+        assert len(seen) == 5 and set(seen) == {(True, True, True)}
 
     def test_grid_validation(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -505,6 +510,13 @@ class TestRunChain:
                            match=r"^iteration 1, block state: sigma2 must be finite and positive$"):
             run_chain(self.small_data(), ChainConfig(n_iter=10, burn_in=1, seed=1))
 
+    def test_missing_special_functions_name_the_iteration_and_block(self, monkeypatch):
+        # scipy.special is imported by the first sampled-sigma^2 step, the
+        # tau target of iteration 1, so an import failure surfaces there.
+        monkeypatch.setitem(sys.modules, "scipy.special", None)
+        with pytest.raises(ImportError, match=r"^iteration 1, block tau: "):
+            run_chain(self.small_data(), ChainConfig(n_iter=3, burn_in=0, seed=1))
+
     def test_joint_scale_marginal_matches_quadrature(self):
         # n = 3, p = 1, sigma^2 sampled: the kept (tau, sigma^2) draws of a
         # long chain against the 2-D quadrature marginal, which integrates
@@ -575,3 +587,62 @@ class TestRunChain:
             RegressionData(np.ones((3, 0)), np.ones(3))  # no predictors
         with pytest.raises(ValueError):
             RegressionData(np.full((3, 2), np.nan), np.ones(3))
+
+
+# Runs in a fresh interpreter.  After each entry point it records
+# whether scipy.special has been loaded.
+_FOOTPRINT_SCRIPT = """
+import json, sys
+steps = []
+def step(name):
+    steps.append([name, "scipy.special" in sys.modules])
+
+import numpy as np
+import fastmvg
+step("import fastmvg")
+from fastmvg import (ChainConfig, DenseSpdScale, DiagonalScale, RegressionData,
+                     RngStream, StructuredGaussian, baseline_sample, fast_sample,
+                     log_density, posterior_mean, run_chain)
+gen = np.random.default_rng(0)
+phi, alpha = gen.standard_normal((3, 5)), gen.standard_normal(3)
+g = StructuredGaussian(phi, DiagonalScale(np.full(5, 2.0)), alpha)
+log_density(g, posterior_mean(g) + fast_sample(g, RngStream(1)).theta)
+baseline_sample(g, RngStream(2))
+step("diagonal sampling")
+fast_sample(StructuredGaussian(phi, DenseSpdScale(np.eye(5) + 0.5), alpha), RngStream(3))
+step("dense sampling")
+import fastmvg.cli
+fastmvg.cli.main(["sample", *sys.argv[1:4], "--draws", "2", "--seed", "1",
+                  "--out", sys.argv[4]])
+step("fastmvg sample")
+x = gen.standard_normal((6, 4))
+data = RegressionData(x, x[:, 0] + gen.standard_normal(6))
+run_chain(data, ChainConfig(n_iter=3, burn_in=0, fixed_sigma=1.0))
+step("fixed_sigma run_chain")
+run_chain(data, ChainConfig(n_iter=3, burn_in=0))
+step("sampled sigma^2 run_chain")
+print(json.dumps(steps))
+"""
+
+
+def test_only_a_sampled_sigma2_chain_loads_scipy_special(tmp_path):
+    inputs = []
+    for name, text in (("phi", "1,0.5\n-0.3,2\n"), ("d", "1,3\n"), ("alpha", "1,-1\n")):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        inputs.append(str(path))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_SCRIPT, *inputs, str(tmp_path / "out.csv")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["import fastmvg", False],
+        ["diagonal sampling", False],
+        ["dense sampling", False],
+        ["fastmvg sample", False],
+        ["fixed_sigma run_chain", False],
+        ["sampled sigma^2 run_chain", True],
+    ]
