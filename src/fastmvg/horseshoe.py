@@ -25,7 +25,8 @@ Orenstein & Bhattacharya (JMLR 2020):
 All three read the n x n system M = I + tau^2 X Lambda^2 X'.  Its
 factor gives log |M| and q = y' M^-1 y for the xi target and the
 sigma^2 draw, and the accepted factor is the one the beta draw solves
-against, so X Lambda^2 X' is formed once per iteration, by one SYRK.
+against, so X Lambda^2 X' is formed once per iteration, by one SYRK
+into a zeroed n x n array.
 M is added to the identity and factored by
 ``structured.factor_identity_plus``, the function that builds every
 structured Gaussian's system, and ``update_beta`` takes the accepted
@@ -267,7 +268,8 @@ def update_tau(data: RegressionData, lam: np.ndarray, tau: float, rng: RngStream
     the proposed xi each cost one n x n Cholesky factorization and one
     triangular solve.  Consumes one normal, then one uniform.
     """
-    k = syrk(data.x * lam)
+    k = np.zeros((data.n, data.n))
+    syrk(data.x * lam, k)
     s = -2.0 * math.log(tau)
     current, factor, q = _log_xi_target(k, data, s, fixed_sigma2)
     s_new = s + _LOG_XI_STEP * float(rng.standard_normal(1)[0])

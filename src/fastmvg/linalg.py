@@ -64,16 +64,21 @@ class SpdFactor:
         return 2.0 * float(np.sum(np.log(np.diagonal(self.lower))))
 
 
-def syrk(b: np.ndarray) -> np.ndarray:
-    """B B' for an n x p ``b`` with one BLAS dsyrk: half the flops of a GEMM.
+def syrk(b: np.ndarray, out: np.ndarray) -> None:
+    """Add B B' for an n x p ``b`` to ``out`` with one BLAS dsyrk.
 
-    Returns a C-ordered n x n array whose upper triangle holds B B'; the
-    strict lower triangle is not computed.  The upper triangle is the
-    one ``cholesky`` reads, so the result can be factored in place.  A
-    C-ordered ``b`` reaches BLAS as its Fortran-ordered transpose, with
-    no copy.
+    ``out`` is a C-ordered float64 n x n array; dsyrk runs with beta = 1
+    and adds B B' to its upper triangle, half the flops of a GEMM, and
+    leaves its strict lower triangle as it was.  The upper triangle is
+    the one ``cholesky`` reads, so a zeroed ``out`` that has gathered
+    one or more calls can be factored in place.  A C-ordered ``b``
+    reaches BLAS as its Fortran-ordered transpose, with no copy, and so
+    does ``out``; any other ``out`` raises ValueError, since a copy
+    would drop the update.
     """
-    return blas.dsyrk(1.0, b.T, trans=1, lower=1).T
+    if out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError("syrk accumulates into a C-ordered float64 array only")
+    blas.dsyrk(1.0, b.T, beta=1.0, c=out.T, trans=1, lower=1, overwrite_c=1)
 
 
 def cholesky(a: np.ndarray) -> SpdFactor:

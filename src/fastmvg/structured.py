@@ -19,12 +19,15 @@ diagonal scale also keeps D^{1/2}.  Each is computed on first use.
 For diagonal D, every later draw then costs p + n standard normals,
 two passes over Phi and one n x n solve, the mean costs one pass over
 Phi, and a density one pass over Phi plus O(p).  M is built as
-I_n + B B' with B = Phi D^{1/2} by one SYRK, which fills one triangle
-and zeros the other, and is factored in place into an exactly
-lower-triangular factor.  B is a temporary, and step (iv) forms
-D (Phi' w) as D times w' Phi, so an instance keeps no n x p array
-beyond ``phi``.  No kept array is returned to a caller.  The
-instance's arrays must not be mutated after construction.
+I_n + sum_b B_b B_b', one SYRK per column panel B_b of Phi D^{1/2}
+(Phi L for a dense D = L L'), each added to the upper triangle of one
+zeroed n x n array, which is then factored in place into an exactly
+lower-triangular factor.  A panel holds about _PANEL_BYTES, so it
+stays in a core's L2 cache, and the build's transient memory is
+n x panel + n^2 doubles, whatever p is.  Step (iv) forms D (Phi' w)
+as D times w' Phi, so no step holds an n x p array beyond ``phi``.
+No kept array is returned to a caller.  The instance's arrays must
+not be mutated after construction.
 
 ``baseline_sample`` draws from the same distribution by forming the
 p x p precision matrix and factoring it at every call, which is the
@@ -41,6 +44,11 @@ import numpy as np
 from .errors import DimensionMismatch, NotPositiveDefinite
 from .linalg import SpdFactor, cholesky, solve_lower, solve_spd, syrk
 from .rng import RngStream
+
+# Bytes of one column panel of Phi D^{1/2} in the build of M.  Panels of
+# 256 and 512 KiB built M at (100, 5000) equally fast on a core with a
+# 2 MiB L2 cache; the smaller one holds less memory.
+_PANEL_BYTES = 256 * 1024
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -75,9 +83,13 @@ class DiagonalScale:
     def sample_zero_mean(self, rng: RngStream) -> np.ndarray:
         return self._sqrt_d * rng.standard_normal(self.dim)
 
-    def phi_times_scale(self, phi: np.ndarray) -> np.ndarray:
-        """Phi D^{1/2}, a new n x p array B with B B' = Phi D Phi': O(np)."""
-        return phi * self._sqrt_d
+    def phi_times_scale(self, phi: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Columns lo:hi of B = Phi D^{1/2}, a new n x (hi - lo) array.
+
+        Summed over panels that cover 0:p, B_b B_b' gives Phi D Phi';
+        each panel costs O(n (hi - lo)).
+        """
+        return phi[:, lo:hi] * self._sqrt_d[lo:hi]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """D x."""
@@ -132,9 +144,15 @@ class DenseSpdScale:
     def sample_zero_mean(self, rng: RngStream) -> np.ndarray:
         return self.factor.lower @ rng.standard_normal(self.dim)
 
-    def phi_times_scale(self, phi: np.ndarray) -> np.ndarray:
-        """Phi L for D = L L', so B B' = Phi D Phi': the O(np^2) worst-case term."""
-        return phi @ self.factor.lower
+    def phi_times_scale(self, phi: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Columns lo:hi of B = Phi L for D = L L', a new n x (hi - lo) array.
+
+        Summed over panels that cover 0:p, B_b B_b' gives Phi D Phi'.
+        L is lower triangular, so rows above lo of its columns lo:hi are
+        zero and the panel is Phi[:, lo:] L[lo:, lo:hi]: over all panels
+        about n p^2 / 2 flops, the O(np^2) worst-case term.
+        """
+        return phi[:, lo:] @ self.factor.lower[lo:, lo:hi]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """D x."""
@@ -159,11 +177,12 @@ def factor_identity_plus(s: np.ndarray) -> SpdFactor:
     """The Cholesky factor of I + S, built in ``s``, which it destroys.
 
     ``s`` is a C-ordered n x n temporary holding a symmetric S in its
-    upper triangle and zeros below it, the layout ``syrk`` returns; the
-    identity is added to its diagonal and the sum is factored in place,
-    so the factor is exactly lower triangular.  This is the one place
-    where M = I + Phi D Phi' is formed and factored: ``StructuredGaussian``
-    and the horseshoe chain's global-scale step both call it.  For S
+    upper triangle and zeros below it, the layout ``syrk`` leaves in a
+    zeroed array; the identity is added to its diagonal and the sum is
+    factored in place, so the factor is exactly lower triangular.  This
+    is the one place where M = I + Phi D Phi' is formed and factored:
+    ``StructuredGaussian`` and the horseshoe chain's global-scale step
+    both call it.  For S
     positive semidefinite, I + S is SPD with eigenvalues >= 1, so no
     pivot floor runs; one would misfire for large D.
     """
@@ -180,8 +199,10 @@ class StructuredGaussian:
     ``functools.cached_property``, so repeated draws, the mean and the
     densities on one instance share them: after the first call a draw
     costs p + n normals, two passes over Phi and one n x n solve, and a
-    density one pass over Phi plus O(p).  Construction checks shapes and a
-    finite alpha; a NaN, infinite or overflowing phi raises
+    density one pass over Phi plus O(p).  M is gathered panel by panel
+    (see the module docstring), so building it holds n x panel + n^2
+    doubles beyond phi, never an n x p array.  Construction checks
+    shapes and a finite alpha; a NaN, infinite or overflowing phi raises
     NotPositiveDefinite from ``cholesky`` when M (or Phi' Phi + D^-1 in
     ``baseline_sample``) is factored.
     Do not mutate phi, alpha or the scale's arrays after construction:
@@ -239,8 +260,13 @@ class StructuredGaussian:
     @functools.cached_property
     def _coupling(self) -> SpdFactor:
         """The factor of the n x n system matrix M = Phi D Phi' + I_n."""
-        # M = I + B B' for B = Phi D^{1/2}.
-        return factor_identity_plus(syrk(self.scale.phi_times_scale(self.phi)))
+        # M = I + sum of B_b B_b' over column panels B_b of Phi D^{1/2}.
+        n, p = self.phi.shape
+        width = max(1, _PANEL_BYTES // (8 * n))
+        m = np.zeros((n, n))
+        for lo in range(0, p, width):
+            syrk(self.scale.phi_times_scale(self.phi, lo, min(lo + width, p)), m)
+        return factor_identity_plus(m)
 
     @functools.cached_property
     def _m_inv_alpha(self) -> np.ndarray:
@@ -274,8 +300,9 @@ def fast_sample(g: StructuredGaussian, rng: RngStream) -> AugmentedDraw:
 
     Consumes p standard normals for u, then n for delta.  The first draw
     (or mean, or density) on an instance builds its n x n system, whose
-    SYRK over an n x p matrix dominates the cost and grows linearly in p
-    for diagonal D; later draws on the same instance cost O(np).
+    panelled SYRKs over the n x p Phi D^{1/2} dominate the cost and grow
+    linearly in p for diagonal D; later draws on the same instance cost
+    O(np).
     """
     u = g.scale.sample_zero_mean(rng)
     delta = rng.standard_normal(g.n)

@@ -76,13 +76,16 @@ def dense_sigma_mu(g: StructuredGaussian):
     return sigma, mu
 
 
+def dense_system(g: StructuredGaussian) -> np.ndarray:
+    """Dense oracle M = I + Phi D Phi', formed with explicit D."""
+    return g.phi @ dense_d_matrix(g.scale) @ g.phi.T + np.eye(g.n)
+
+
 def woodbury_theta(g: StructuredGaussian, u, delta):
     """Dense oracle u + D Phi' (Phi D Phi' + I)^-1 (alpha - Phi u - delta)."""
     d = dense_d_matrix(g.scale)
-    n = g.n
-    m = g.phi @ d @ g.phi.T + np.eye(n)
     resid = g.alpha - g.phi @ u - delta
-    return u + d @ g.phi.T @ np.linalg.solve(m, resid)
+    return u + d @ g.phi.T @ np.linalg.solve(dense_system(g), resid)
 
 
 def dense_log_density(g: StructuredGaussian, x):

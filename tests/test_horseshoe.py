@@ -43,7 +43,9 @@ from conftest import (
 
 def beta_factor(data, lam, tau):
     """The factor of M = I + tau^2 X Lambda^2 X' that update_beta draws on."""
-    return factor_identity_plus(syrk(data.x * (tau * lam)))
+    k = np.zeros((data.n, data.n))
+    syrk(data.x * (tau * lam), k)
+    return factor_identity_plus(k)
 
 
 class TestUpdateBeta:

@@ -84,19 +84,43 @@ class TestCholesky:
             cholesky(np.zeros((0, 0)))
 
 
+def accumulated(b):
+    """syrk(b, out) into a zeroed out."""
+    out = np.zeros((b.shape[0], b.shape[0]))
+    syrk(b, out)
+    return out
+
+
 class TestSyrk:
     @pytest.mark.parametrize("n, p", [(6, 15), (15, 6), (1, 7), (7, 1), (1, 1)])
     def test_upper_triangle_matches_naive_products(self, n, p):
         b = np.random.default_rng(n * 31 + p).standard_normal((n, p))
         expected = np.array([[sum(b[i, k] * b[j, k] for k in range(p)) for j in range(n)]
                              for i in range(n)])
-        np.testing.assert_allclose(np.triu(syrk(b)), np.triu(expected), rtol=1e-13)
+        np.testing.assert_allclose(np.triu(accumulated(b)), np.triu(expected), rtol=1e-13)
+
+    def test_panels_accumulate_into_the_upper_triangle(self):
+        # Two column panels added into one out give B B' of the whole
+        # matrix, and the strict lower triangle is never written.
+        b = np.random.default_rng(12).standard_normal((9, 25))
+        out = np.zeros((9, 9))
+        syrk(b[:, :11], out)
+        syrk(b[:, 11:], out)
+        np.testing.assert_allclose(np.triu(out), np.triu(accumulated(b)), rtol=1e-13)
+        assert np.count_nonzero(np.tril(out, -1)) == 0
+
+    def test_out_that_would_be_copied_raises(self):
+        b = np.ones((3, 4))
+        with pytest.raises(ValueError):
+            syrk(b, np.zeros((3, 3), order="F"))
+        with pytest.raises(ValueError):
+            syrk(b, np.zeros((3, 3), dtype=np.float32))
 
     def test_factored_in_place_as_cholesky_reads_it(self):
         # cholesky reads the upper triangle of a C-ordered input, which is
         # the triangle syrk fills, and factors it without a copy.
         b = np.random.default_rng(9).standard_normal((8, 20))
-        m = syrk(b)
+        m = accumulated(b)
         m.flat[:: 9] += 1.0
         f = cholesky(m)
         assert np.shares_memory(f.lower, m)

@@ -25,13 +25,14 @@ from fastmvg import (
     posterior_mean,
     update_tau,
 )
-from fastmvg.linalg import cholesky, syrk
+from fastmvg.linalg import cholesky
 
 from conftest import (
     QueuedStream,
     dense_d_matrix,
     dense_log_density,
     dense_sigma_mu,
+    dense_system,
     random_instance,
     whitened_log_density,
     woodbury_theta,
@@ -453,7 +454,8 @@ class TestKeptFactor:
         factors = [
             DenseSpdScale(m @ m.T + np.eye(p)).factor,
             update_tau(data, gen.uniform(0.2, 3.0, p), 0.7, RngStream(10, 0)).factor,
-            structured.factor_identity_plus(syrk(gen.standard_normal((n, p)))),
+            StructuredGaussian(gen.standard_normal((n, p)), DiagonalScale(np.ones(p)),
+                               np.ones(n))._coupling,
         ]
         for f in factors:
             assert np.count_nonzero(np.triu(f.lower, 1)) == 0
@@ -495,6 +497,47 @@ class TestKeptFactor:
                     assert got[k]["density"] == expected[k]["density"]
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestPanelledBuild:
+    @pytest.mark.parametrize("n, p, dense, panel_bytes", [
+        (100, 20000, False, None),  # the shipped panel width
+        (50, 2000, True, 32 * 1024),  # small panels, so p = 2000 is split
+    ])
+    def test_build_holds_no_n_by_p_array(self, monkeypatch, n, p, dense, panel_bytes):
+        # An n x p copy of Phi (B = Phi D^{1/2} or Phi L) would take n p 8
+        # bytes; the build of M may peak at a quarter of that.
+        if panel_bytes is not None:
+            monkeypatch.setattr(structured, "_PANEL_BYTES", panel_bytes)
+        gen = np.random.default_rng(90)
+        if dense:
+            scale = DenseSpdScale(np.full((p, p), 0.5) + 0.5 * np.eye(p))
+        else:
+            scale = DiagonalScale(gen.uniform(0.3, 3.0, p))
+        g = StructuredGaussian(gen.standard_normal((n, p)), scale, gen.standard_normal(n))
+        tracemalloc.start()
+        try:
+            g._coupling
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * p * 8 / 4
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("p", [1, 2, 6, 7])
+    def test_factor_matches_dense_oracle(self, monkeypatch, dense, width, p):
+        # Panels of `width` columns: p = 1, below one panel, an exact
+        # multiple of the width, and that multiple plus one.
+        n = 5
+        monkeypatch.setattr(structured, "_PANEL_BYTES", 8 * n * width)
+        g = random_instance(91 + p, n=n, p=p, dense=dense)
+        f = g._coupling
+        expected = dense_system(g)
+        np.testing.assert_allclose(f.lower @ f.lower.T, expected, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(expected)))
+        assert np.count_nonzero(np.triu(f.lower, 1)) == 0
+        assert f.lower.flags.f_contiguous  # cholesky's in-place view of M
 
 
 class CountingNumpy:
