@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import BlasPinError, ConfigError, NotPositiveDefinite
 from .experiments import (
-    COV_KINDS,
     SIGNAL_SETS,
     SimDesign,
     render_bench_csv,

@@ -25,8 +25,14 @@ Orenstein & Bhattacharya (JMLR 2020):
 All three read the n x n system M = I + tau^2 X Lambda^2 X'.  Its
 factor gives log |M| and q = y' M^-1 y for the xi target and the
 sigma^2 draw, and the accepted factor is the one the beta draw solves
-against, so X Lambda^2 X' is formed once per iteration, by one SYRK
-into a zeroed n x n array.
+against, so K = X Lambda^2 X' is formed once per iteration (_gram).
+Below _SPLIT_ENTRIES (2^16) entries of X that is one SYRK into a
+zeroed n x n array.  From there on the columns are split in two
+halves, whose Gram matrices are summed; the first half runs on a
+helper thread, or in the calling thread when the process may use only
+one CPU.  The bits depend on the size of X only, never on the CPU
+count.  A large chain thus uses two threads: count two cores per chain
+when running many in parallel.
 M is added to the identity and factored by
 ``structured.factor_identity_plus``, the function that builds every
 structured Gaussian's system, and ``update_beta`` takes the accepted
@@ -45,6 +51,9 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -62,6 +71,12 @@ _SMALL_MASS = 1e-10
 # Standard deviation of the random-walk proposal on log(tau^-2).  A
 # fixed constant of the kernel, not tuned to any dataset.
 _LOG_XI_STEP = 0.8
+
+# Fewest entries n * p of X for which _gram splits K into two column
+# halves.  On a 2-core host with one BLAS thread per call the two ways
+# break even between 100 x 500 and 100 x 1000 entries, and at 100 x 5000
+# the halves take about two thirds of the one SYRK's time.
+_SPLIT_ENTRIES = 1 << 16
 
 # Most bytes of draws that _summarize sorts at once: its transient
 # memory, a few blocks of this size, does not grow with the chain.
@@ -249,6 +264,77 @@ def _log_xi_target(k: np.ndarray, data: RegressionData, s: float,
     return -0.5 * factor.log_det + log_m + log_prior, factor, q
 
 
+# The helper thread that builds the first half of a split K, started on
+# first use.  A forked child has no copy of the thread, so the hook below
+# drops the executor there and the child starts its own.
+_helper: ThreadPoolExecutor | None = None
+_helper_lock = threading.Lock()
+
+
+def _forget_helper() -> None:
+    global _helper, _helper_lock
+    _helper = None
+    _helper_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _helper_pool() -> ThreadPoolExecutor:
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fastmvg-gram")
+        return _helper
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _half_gram(x: np.ndarray, lam: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """B B' for B = X[:, lo:hi] diag(lam[lo:hi]), both triangles filled."""
+    b = x[:, lo:hi] * lam[lo:hi]
+    return b @ b.T  # numpy's matmul releases the GIL; scipy's f2py dsyrk does not
+
+
+def _gram(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """K = X diag(lam^2) X' in the upper triangle of a new C-ordered
+    n x n array, with zeros below it, as ``factor_identity_plus`` takes it.
+
+    Below _SPLIT_ENTRIES entries of x this is one SYRK into a zeroed
+    array.  From there on the columns are split at c = p // 2, each half
+    gives its own Gram matrix, and K is the upper triangle of their sum.
+    The first half is built on one helper thread while the calling
+    thread builds the second, unless the process may use only one CPU,
+    in which case both run here.  The arithmetic is the same either way,
+    so K depends on the size of x alone, never on the machine; the two
+    paths differ only in the last digits.
+    """
+    n, p = x.shape
+    if n * p < _SPLIT_ENTRIES:
+        k = np.zeros((n, n))
+        syrk(x * lam, k)
+        return k
+    c = p // 2
+    if _usable_cpus() < 2:
+        first = _half_gram(x, lam, 0, c)
+        second = _half_gram(x, lam, c, p)
+    else:
+        pending = _helper_pool().submit(_half_gram, x, lam, 0, c)
+        try:
+            second = _half_gram(x, lam, c, p)
+        finally:
+            first = pending.result()  # no work outlives the call
+    first += second
+    return np.triu(first)
+
+
 def update_tau(data: RegressionData, lam: np.ndarray, tau: float, rng: RngStream,
                fixed_sigma2: float | None = None) -> TauDraw:
     """One Metropolis step for the global scale, beta and sigma^2 integrated out.
@@ -264,12 +350,14 @@ def update_tau(data: RegressionData, lam: np.ndarray, tau: float, rng: RngStream
     the noise prior's support [data.sigma2_floor, inf)
     (_log_sigma2_integral).  The last two terms are the half-Cauchy
     prior of tau with the Jacobian of log xi.  The proposal is
-    log xi + 0.8 z.  K is one SYRK; the target at the current and at
-    the proposed xi each cost one n x n Cholesky factorization and one
-    triangular solve.  Consumes one normal, then one uniform.
+    log xi + 0.8 z.  K is built once (_gram): one SYRK below
+    _SPLIT_ENTRIES entries of X, else two column halves, one of them on
+    a helper thread when the process may use two CPUs.  The target at
+    the current and at the proposed xi each cost one n x n Cholesky
+    factorization and one triangular solve.  Consumes one normal, then
+    one uniform.
     """
-    k = np.zeros((data.n, data.n))
-    syrk(data.x * lam, k)
+    k = _gram(data.x, lam)
     s = -2.0 * math.log(tau)
     current, factor, q = _log_xi_target(k, data, s, fixed_sigma2)
     s_new = s + _LOG_XI_STEP * float(rng.standard_normal(1)[0])

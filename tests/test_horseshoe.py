@@ -1,8 +1,11 @@
+import importlib.util
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -299,6 +302,122 @@ class TestUpdateTau:
             step = update_tau(data, np.ones(2), 1.0, RngStream(40 + seed, 0))
             assert np.isfinite(step.tau) and step.tau > 0.0
             assert step.q == 0.0
+
+
+def wide_tau_input(n=20, p=4000, seed=70):
+    """Data and local scales whose n x p design K is built in two halves."""
+    assert n * p >= horseshoe._SPLIT_ENTRIES
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal((n, p))
+    return RegressionData(x, x[:, :3].sum(axis=1) + gen.standard_normal(n)), gen.uniform(0.2, 2.0, p)
+
+
+def unchanged_tau_step(data, lam, tau=0.9):
+    """update_tau with a zero step, always accepted: the factor is M at tau."""
+    return update_tau(data, lam, tau, QueuedStream(normals=[[0.0]], uniforms=[0.5]))
+
+
+def _tau_factor_in_child(conn, data, lam):
+    conn.send(unchanged_tau_step(data, lam).factor.lower)
+    conn.close()
+
+
+class TestSplitGram:
+    """K = X Lambda^2 X' in two column halves from _SPLIT_ENTRIES entries on."""
+
+    def test_halves_match_one_syrk(self, monkeypatch):
+        data, lam = wide_tau_input()
+        monkeypatch.setattr(horseshoe, "_usable_cpus", lambda: 2)
+        halves = []
+        half_gram = horseshoe._half_gram
+
+        def recording(x, lam, lo, hi):
+            halves.append((lo, hi, threading.current_thread() is threading.main_thread()))
+            return half_gram(x, lam, lo, hi)
+
+        monkeypatch.setattr(horseshoe, "_half_gram", recording)
+        step = unchanged_tau_step(data, lam)
+        # The first half ran on the helper thread, the second on this one.
+        assert sorted(halves) == [(0, 2000, False), (2000, 4000, True)]
+        lower = step.factor.lower
+        oracle = beta_factor(data, lam, step.tau).lower
+        np.testing.assert_allclose(lower, oracle, rtol=1e-12,
+                                   atol=1e-12 * np.abs(oracle).max())
+        assert not np.triu(lower, 1).any()
+
+        # One CPU runs both halves here, with the same bits; so does a rerun.
+        monkeypatch.setattr(horseshoe, "_usable_cpus", lambda: 1)
+        halves.clear()
+        for again in (unchanged_tau_step(data, lam), unchanged_tau_step(data, lam)):
+            np.testing.assert_array_equal(again.factor.lower, lower)
+            assert again.q == step.q
+        assert sorted(halves) == [(0, 2000, True), (0, 2000, True),
+                                  (2000, 4000, True), (2000, 4000, True)]
+
+    def test_below_the_threshold_k_is_one_syrk(self):
+        n = 16
+        p = horseshoe._SPLIT_ENTRIES // n - 1
+        gen = np.random.default_rng(71)
+        x = gen.standard_normal((n, p))
+        data = RegressionData(x, gen.standard_normal(n))
+        lam = gen.uniform(0.2, 2.0, p)
+        k = np.zeros((n, n))
+        syrk(x * lam, k)
+        np.testing.assert_array_equal(horseshoe._gram(x, lam), k)
+        tau = 0.9
+        step = unchanged_tau_step(data, lam, tau)
+        oracle = factor_identity_plus(k * math.exp(2.0 * math.log(tau)))
+        np.testing.assert_array_equal(step.factor.lower, oracle.lower)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork on this platform")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_starts_its_own_helper(self, monkeypatch):
+        # A child forked after the parent started its helper thread has
+        # the executor but not the thread; without the at-fork hook its
+        # first split K waits forever for the missing worker.
+        monkeypatch.setattr(horseshoe, "_usable_cpus", lambda: 2)
+        data, lam = wide_tau_input()
+        parent = unchanged_tau_step(data, lam)
+        assert horseshoe._helper is not None
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_tau_factor_in_child, args=(send, data, lam))
+        child.start()
+        send.close()
+        try:
+            assert receive.poll(30), "the forked child did not finish its update_tau"
+            lower = receive.recv()
+        finally:
+            child.join(30)
+            if child.is_alive():
+                child.kill()
+                child.join(30)
+            receive.close()
+        assert child.exitcode == 0
+        np.testing.assert_array_equal(lower, parent.factor.lower)
+
+
+def test_benchmark_tracer_finds_every_attribute_it_wraps():
+    # perfbench/tracing.py swaps module and class attributes by name;
+    # renaming one of them would make a traced benchmark run fail.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [(owner, attr) for owner, attr, *_ in tracing._targets()]
+    originals = [getattr(owner, attr) for owner, attr in targets]
+    data, _ = wide_tau_input()
+    tracer = tracing.Tracer()
+    with tracing.instrumented(tracer):
+        tracer.active = True
+        horseshoe.run_chain(data, ChainConfig(n_iter=2, burn_in=0))
+        tracer.active = False
+    assert [getattr(owner, attr) for owner, attr in targets] == originals
+    stats = tracer.summary()
+    assert stats["horseshoe.run_chain"]["calls"] == 1
+    assert stats["horseshoe.update_tau"]["calls"] == 2
+    assert stats["linalg.cholesky"]["calls"] == 4
 
 
 class TestUpdateSigma2:
