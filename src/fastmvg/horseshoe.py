@@ -29,10 +29,10 @@ against, so K = X Lambda^2 X' is formed once per iteration (_gram).
 Below _SPLIT_ENTRIES (2^16) entries of X that is one SYRK into a
 zeroed n x n array.  From there on the columns are split in two
 halves, whose Gram matrices are summed; the first half runs on a
-helper thread, or in the calling thread when the process may use only
-one CPU.  The bits depend on the size of X only, never on the CPU
-count.  A large chain thus uses two threads: count two cores per chain
-when running many in parallel.
+helper thread.  The bits depend on the size of X only.  The halves
+take more CPU time than the one SYRK, so the split pays only while a
+core is idle: a large chain uses two threads, and chains run in
+parallel should be counted at two cores each.
 M is added to the identity and factored by
 ``structured.factor_identity_plus``, the function that builds every
 structured Gaussian's system, and ``update_beta`` takes the accepted
@@ -289,14 +289,6 @@ def _helper_pool() -> ThreadPoolExecutor:
         return _helper
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _half_gram(x: np.ndarray, lam: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """B B' for B = X[:, lo:hi] diag(lam[lo:hi]), both triangles filled."""
     b = x[:, lo:hi] * lam[lo:hi]
@@ -311,10 +303,8 @@ def _gram(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
     array.  From there on the columns are split at c = p // 2, each half
     gives its own Gram matrix, and K is the upper triangle of their sum.
     The first half is built on one helper thread while the calling
-    thread builds the second, unless the process may use only one CPU,
-    in which case both run here.  The arithmetic is the same either way,
-    so K depends on the size of x alone, never on the machine; the two
-    paths differ only in the last digits.
+    thread builds the second.  K depends on the size of x alone; the
+    two paths differ only in the last digits.
     """
     n, p = x.shape
     if n * p < _SPLIT_ENTRIES:
@@ -322,15 +312,11 @@ def _gram(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
         syrk(x * lam, k)
         return k
     c = p // 2
-    if _usable_cpus() < 2:
-        first = _half_gram(x, lam, 0, c)
+    pending = _helper_pool().submit(_half_gram, x, lam, 0, c)
+    try:
         second = _half_gram(x, lam, c, p)
-    else:
-        pending = _helper_pool().submit(_half_gram, x, lam, 0, c)
-        try:
-            second = _half_gram(x, lam, c, p)
-        finally:
-            first = pending.result()  # no work outlives the call
+    finally:
+        first = pending.result()  # no work outlives the call
     first += second
     return np.triu(first)
 
@@ -352,10 +338,9 @@ def update_tau(data: RegressionData, lam: np.ndarray, tau: float, rng: RngStream
     prior of tau with the Jacobian of log xi.  The proposal is
     log xi + 0.8 z.  K is built once (_gram): one SYRK below
     _SPLIT_ENTRIES entries of X, else two column halves, one of them on
-    a helper thread when the process may use two CPUs.  The target at
-    the current and at the proposed xi each cost one n x n Cholesky
-    factorization and one triangular solve.  Consumes one normal, then
-    one uniform.
+    a helper thread.  The target at the current and at the proposed xi
+    each cost one n x n Cholesky factorization and one triangular
+    solve.  Consumes one normal, then one uniform.
     """
     k = _gram(data.x, lam)
     s = -2.0 * math.log(tau)
