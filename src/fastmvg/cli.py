@@ -155,7 +155,10 @@ def cmd_sample(args) -> int:
         else (lambda: baseline_sample(g, rng))
     # Every draw is made before the file is opened, so a failed draw
     # leaves no partial output.
-    draws = np.empty((args.draws, p))
+    try:
+        draws = np.empty((args.draws, p))
+    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest array
+        raise CliInputError(f"--draws {args.draws}: the draws do not fit in memory") from exc
     for i in range(args.draws):
         draws[i] = draw()
     _write_text(args.out, (_format_row(row) + "\n" for row in draws))

@@ -26,10 +26,10 @@ All three read the n x n system M = I + tau^2 X Lambda^2 X'.  Its
 factor gives log |M| and q = y' M^-1 y for the xi target and the
 sigma^2 draw, and the accepted factor is the one the beta draw solves
 against, so K = X Lambda^2 X' is formed once per iteration (_gram).
-Below _SPLIT_ENTRIES (2^16) entries of X that is one SYRK into a
-zeroed n x n array.  From there on the columns are split in two
-halves, whose Gram matrices are summed; the first half runs on a
-helper thread.  The bits depend on the size of X only.  The halves
+Below _SPLIT_ENTRIES (2^16) entries of X that is one ``linalg.gram``
+(a BLAS SYRK).  From there on the columns are split in two halves,
+whose Gram matrices are summed; the first half runs on a helper
+thread.  The bits depend on the size of X only.  The halves
 take more CPU time than the one SYRK, so the split pays only while a
 core is idle: a large chain uses two threads, and chains run in
 parallel should be counted at two cores each.
@@ -60,7 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch
-from .linalg import SpdFactor, solve_lower, syrk
+from .linalg import SpdFactor, gram, solve_lower
 from .rng import RngStream
 from .structured import DiagonalScale, StructuredGaussian, factor_identity_plus, fast_sample
 
@@ -290,35 +290,31 @@ def _helper_pool() -> ThreadPoolExecutor:
 
 
 def _half_gram(x: np.ndarray, lam: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """B B' for B = X[:, lo:hi] diag(lam[lo:hi]), both triangles filled."""
-    b = x[:, lo:hi] * lam[lo:hi]
-    return b @ b.T  # numpy's matmul releases the GIL; scipy's f2py dsyrk does not
+    """B B' for B = X[:, lo:hi] diag(lam[lo:hi])."""
+    return gram(x[:, lo:hi] * lam[lo:hi])
 
 
 def _gram(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """K = X diag(lam^2) X' in the upper triangle of a new C-ordered
-    n x n array, with zeros below it, as ``factor_identity_plus`` takes it.
+    """K = X diag(lam^2) X', a new symmetric C-ordered n x n array.
 
-    Below _SPLIT_ENTRIES entries of x this is one SYRK into a zeroed
-    array.  From there on the columns are split at c = p // 2, each half
-    gives its own Gram matrix, and K is the upper triangle of their sum.
-    The first half is built on one helper thread while the calling
-    thread builds the second.  K depends on the size of x alone; the
-    two paths differ only in the last digits.
+    Below _SPLIT_ENTRIES entries of x this is one ``gram``.  From there
+    on the columns are split at c = p // 2, each half gives its own Gram
+    matrix, and K is their sum.  The first half is built on one helper
+    thread while the calling thread builds the second.  K depends on the
+    size of x alone; the two paths differ only in the last digits.
     """
     n, p = x.shape
     if n * p < _SPLIT_ENTRIES:
-        k = np.zeros((n, n))
-        syrk(x * lam, k)
-        return k
+        return _half_gram(x, lam, 0, p)
     c = p // 2
     pending = _helper_pool().submit(_half_gram, x, lam, 0, c)
     try:
         second = _half_gram(x, lam, c, p)
     finally:
         first = pending.result()  # no work outlives the call
-    first += second
-    return np.triu(first)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in gram
+        first += second
+    return first
 
 
 def update_tau(data: RegressionData, lam: np.ndarray, tau: float, rng: RngStream,
@@ -336,7 +332,7 @@ def update_tau(data: RegressionData, lam: np.ndarray, tau: float, rng: RngStream
     the noise prior's support [data.sigma2_floor, inf)
     (_log_sigma2_integral).  The last two terms are the half-Cauchy
     prior of tau with the Jacobian of log xi.  The proposal is
-    log xi + 0.8 z.  K is built once (_gram): one SYRK below
+    log xi + 0.8 z.  K is built once (_gram): one gram below
     _SPLIT_ENTRIES entries of X, else two column halves, one of them on
     a helper thread.  The target at the current and at the proposed xi
     each cost one n x n Cholesky factorization and one triangular

@@ -1,19 +1,20 @@
 """Dense SPD build, factorization and solve kernels used by every sampler.
 
 Everything is float64 and dense: the precision matrices arising here
-have no exploitable sparsity, so the kernels call BLAS's syrk and
-LAPACK's potrf, potrs and trtrs directly, with the package's error
-contract layered on top.  The scipy.linalg wrappers add a fixed cost
-per call that is larger than the factorization itself at n = 50, and
-that constant would flatten the linear-in-p scaling of the fast
-sampler.
+have no exploitable sparsity.  ``gram`` forms B B' with numpy's matmul
+(one BLAS SYRK); the factorization and the solves call LAPACK's potrf,
+potrs and trtrs directly, with the package's error contract layered on
+top.  The scipy.linalg wrappers add a fixed cost per call that is
+larger than the factorization itself at n = 50, and that constant
+would flatten the linear-in-p scaling of the fast sampler.
 
 ``cholesky`` factors a C-ordered matrix in place, reading its upper
-triangle only, and runs no symmetry scan and no pivot floor, but it is
-the one place that rejects a non-finite matrix: a non-positive, NaN or
-infinite pivot raises NotPositiveDefinite, at O(n) cost.  A caller that
-holds a matrix from outside the package validates it first, as
-``structured.DenseSpdScale`` does.
+triangle only, into an exactly lower-triangular factor.  It runs no
+symmetry scan and no pivot floor, but it is the one place that rejects
+a non-finite matrix: a non-positive, NaN or infinite pivot raises
+NotPositiveDefinite, at O(n) cost.  A caller that holds a matrix from
+outside the package validates it first, as ``structured.DenseSpdScale``
+does.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -48,8 +49,8 @@ def _check_rhs(factor: "SpdFactor", b) -> np.ndarray:
 class SpdFactor:
     """Lower-triangular Cholesky factor L with L @ L.T == A.
 
-    Every factor that leaves its maker has an exactly zero strict upper
-    triangle, so ``lower`` can be used as a full matrix (``L @ z``).
+    ``cholesky`` sets the strict upper triangle of every factor to zero,
+    so ``lower`` can be used as a full matrix (``L @ z``).
     """
 
     lower: np.ndarray  # Fortran-ordered when made by cholesky, as LAPACK wants it
@@ -64,21 +65,16 @@ class SpdFactor:
         return 2.0 * float(np.sum(np.log(np.diagonal(self.lower))))
 
 
-def syrk(b: np.ndarray, out: np.ndarray) -> None:
-    """Add B B' for an n x p ``b`` to ``out`` with one BLAS dsyrk.
+def gram(b: np.ndarray) -> np.ndarray:
+    """B B' for an n x p ``b``, as a new symmetric C-ordered n x n array.
 
-    ``out`` is a C-ordered float64 n x n array; dsyrk runs with beta = 1
-    and adds B B' to its upper triangle, half the flops of a GEMM, and
-    leaves its strict lower triangle as it was.  The upper triangle is
-    the one ``cholesky`` reads, so a zeroed ``out`` that has gathered
-    one or more calls can be factored in place.  A C-ordered ``b``
-    reaches BLAS as its Fortran-ordered transpose, with no copy, and so
-    does ``out``; any other ``out`` raises ValueError, since a copy
-    would drop the update.
+    numpy's matmul runs ``b @ b.T`` as one BLAS SYRK, half the flops of
+    a GEMM, and releases the GIL.  An overflow gives inf or NaN entries
+    with no warning, for ``cholesky`` to reject.  numpy's error state is
+    set here, because a worker thread does not inherit its caller's.
     """
-    if out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError("syrk accumulates into a C-ordered float64 array only")
-    blas.dsyrk(1.0, b.T, beta=1.0, c=out.T, trans=1, lower=1, overwrite_c=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return b @ b.T
 
 
 def cholesky(a: np.ndarray) -> SpdFactor:
@@ -86,11 +82,12 @@ def cholesky(a: np.ndarray) -> SpdFactor:
 
     A C-ordered float64 ``a`` is destroyed: ``lower`` is a Fortran-ordered
     view of its memory (f2py copies any other input).  Only the upper
-    triangle of ``a`` is read, so an asymmetric ``a`` is not detected;
-    the factor's strict upper triangle still holds ``a``'s strict lower
-    one.  No symmetry scan and no pivot floor run here: callers factor
-    matrices that are SPD by construction, and a matrix from outside
-    the package is validated first (``structured.DenseSpdScale``).
+    triangle of ``a`` is read, so an asymmetric ``a`` is not detected,
+    and the factor's strict upper triangle is set to zero, whatever
+    ``a`` held below its diagonal.  No symmetry scan and no pivot floor
+    run here: callers factor matrices that are SPD by construction, and
+    a matrix from outside the package is validated first
+    (``structured.DenseSpdScale``).
     Raises NotPositiveDefinite for a non-positive, NaN or infinite
     pivot, which any NaN or infinite entry of the triangle read gives.
     """
@@ -100,7 +97,8 @@ def cholesky(a: np.ndarray) -> SpdFactor:
     # a.T is a Fortran-ordered view of a C-ordered a, which LAPACK takes
     # without a transposing copy; for symmetric a its lower triangle is
     # the transpose of a's upper triangle, so the factor is the same.
-    lower, info = lapack.dpotrf(a.T, lower=1, clean=0, overwrite_a=1)
+    # clean=1 zeroes the strict upper triangle of the factor.
+    lower, info = lapack.dpotrf(a.T, lower=1, clean=1, overwrite_a=1)
     _check_info("dpotrf", info)
     # OpenBLAS passes NaN pivots.  Each pivot of a finite a is below
     # 1e155, so the sum is finite exactly when every pivot is.

@@ -19,13 +19,13 @@ diagonal scale also keeps D^{1/2}.  Each is computed on first use.
 For diagonal D, every later draw then costs p + n standard normals,
 two passes over Phi and one n x n solve, the mean costs one pass over
 Phi, and a density one pass over Phi plus O(p).  M is built as
-I_n + sum_b B_b B_b', one SYRK per column panel B_b of Phi D^{1/2}
-(Phi L for a dense D = L L'), each added to the upper triangle of one
-zeroed n x n array, which is then factored in place into an exactly
-lower-triangular factor.  A panel holds about _PANEL_BYTES, so it
-stays in a core's L2 cache, and the build's transient memory is
-n x panel + n^2 doubles, whatever p is.  Step (iv) forms D (Phi' w)
-as D times w' Phi, so no step holds an n x p array beyond ``phi``.
+I_n + sum_b B_b B_b', one ``gram`` (a BLAS SYRK) per column panel B_b
+of Phi D^{1/2} (Phi L for a dense D = L L'), summed into the first
+panel's n x n array, which is then factored in place.  A panel holds
+about _PANEL_BYTES, so it stays in a core's L2 cache, and the build's
+transient memory is n x panel + n^2 doubles, whatever p is.  Step (iv)
+forms D (Phi' w) as D times w' Phi, so no step holds an n x p array
+beyond ``phi``.
 No kept array is returned to a caller.  The instance's arrays must
 not be mutated after construction.
 
@@ -42,7 +42,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .linalg import SpdFactor, cholesky, solve_lower, solve_spd, syrk
+from .linalg import SpdFactor, cholesky, gram, solve_lower, solve_spd
 from .rng import RngStream
 
 # Bytes of one column panel of Phi D^{1/2} in the build of M.  Panels of
@@ -130,7 +130,7 @@ class DenseSpdScale:
         if np.max(np.abs(m - m.T)) > 1e-10 * np.max(np.abs(m)):
             raise ValueError("matrix is not symmetric within tolerance")
         floor = PIVOT_RTOL * float(np.trace(m)) / m.shape[0]
-        factor = cholesky(np.triu(m))  # zeros below the diagonal: a triangular factor
+        factor = cholesky(m.copy())
         pivot = np.min(np.diagonal(factor.lower)) ** 2
         if pivot <= floor:
             raise NotPositiveDefinite(f"pivot {pivot:.3e} at or below floor {floor:.3e}")
@@ -176,15 +176,14 @@ ScaleStructure = DiagonalScale | DenseSpdScale
 def factor_identity_plus(s: np.ndarray) -> SpdFactor:
     """The Cholesky factor of I + S, built in ``s``, which it destroys.
 
-    ``s`` is a C-ordered n x n temporary holding a symmetric S in its
-    upper triangle and zeros below it, the layout ``syrk`` leaves in a
-    zeroed array; the identity is added to its diagonal and the sum is
-    factored in place, so the factor is exactly lower triangular.  This
-    is the one place where M = I + Phi D Phi' is formed and factored:
+    ``s`` is a C-ordered n x n temporary holding a symmetric S, of
+    which only the upper triangle is read; the identity is added to its
+    diagonal and the sum is factored in place.  This is the one place
+    where M = I + Phi D Phi' is formed and factored:
     ``StructuredGaussian`` and the horseshoe chain's global-scale step
-    both call it.  For S
-    positive semidefinite, I + S is SPD with eigenvalues >= 1, so no
-    pivot floor runs; one would misfire for large D.
+    both call it.  For S positive semidefinite, I + S is SPD with
+    eigenvalues >= 1, so no pivot floor runs; one would misfire for
+    large D.
     """
     s.ravel()[:: s.shape[0] + 1] += 1.0  # s is C-contiguous: ravel is a view
     return cholesky(s)
@@ -263,9 +262,11 @@ class StructuredGaussian:
         # M = I + sum of B_b B_b' over column panels B_b of Phi D^{1/2}.
         n, p = self.phi.shape
         width = max(1, _PANEL_BYTES // (8 * n))
-        m = np.zeros((n, n))
-        for lo in range(0, p, width):
-            syrk(self.scale.phi_times_scale(self.phi, lo, min(lo + width, p)), m)
+        m = gram(self.scale.phi_times_scale(self.phi, 0, min(width, p)))
+        for lo in range(width, p, width):
+            panel = gram(self.scale.phi_times_scale(self.phi, lo, min(lo + width, p)))
+            with np.errstate(over="ignore", invalid="ignore"):  # as in gram
+                m += panel
         return factor_identity_plus(m)
 
     @functools.cached_property

@@ -223,6 +223,15 @@ class TestSample:
         assert code == 3
         assert "factorization failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("draws", ["100000000000000", "100000000000000000000"])
+    def test_draws_beyond_memory_exit_2(self, tmp_path, unit_instance, capsys, draws):
+        # The draws buffer cannot be allocated, or exceeds numpy's largest
+        # array: an input error that names the option, before any draw.
+        out = tmp_path / "o.csv"
+        assert main(["sample", *unit_instance, "--draws", draws, "--out", str(out)]) == 2
+        assert f"--draws {draws}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_draws_exit_2(self, tmp_path, unit_instance):
         phi, d, alpha = unit_instance
         code = main(["sample", phi, d, alpha, "--draws", "0",

@@ -31,7 +31,6 @@ from fastmvg import (
     update_sigma2,
     update_tau,
 )
-from fastmvg.linalg import syrk
 from fastmvg.structured import factor_identity_plus
 
 from conftest import (
@@ -44,11 +43,18 @@ from conftest import (
 )
 
 
+def dsyrk_gram(b):
+    """B B' in the upper triangle of a zeroed array by one scipy BLAS
+    dsyrk: the oracle that K's bits below _SPLIT_ENTRIES are held to."""
+    from scipy.linalg.blas import dsyrk
+    out = np.zeros((b.shape[0], b.shape[0]))
+    dsyrk(1.0, b.T, beta=1.0, c=out.T, trans=1, lower=1, overwrite_c=1)
+    return out
+
+
 def beta_factor(data, lam, tau):
     """The factor of M = I + tau^2 X Lambda^2 X' that update_beta draws on."""
-    k = np.zeros((data.n, data.n))
-    syrk(data.x * (tau * lam), k)
-    return factor_identity_plus(k)
+    return factor_identity_plus(dsyrk_gram(data.x * (tau * lam)))
 
 
 class TestUpdateBeta:
@@ -356,13 +362,26 @@ class TestSplitGram:
         x = gen.standard_normal((n, p))
         data = RegressionData(x, gen.standard_normal(n))
         lam = gen.uniform(0.2, 2.0, p)
-        k = np.zeros((n, n))
-        syrk(x * lam, k)
-        np.testing.assert_array_equal(horseshoe._gram(x, lam), k)
+        k = dsyrk_gram(x * lam)
+        np.testing.assert_array_equal(np.triu(horseshoe._gram(x, lam)), k)
         tau = 0.9
         step = unchanged_tau_step(data, lam, tau)
         oracle = factor_identity_plus(k * math.exp(2.0 * math.log(tau)))
         np.testing.assert_array_equal(step.factor.lower, oracle.lower)
+
+    @pytest.mark.parametrize("p", [100, 2000])  # one gram, and two halves
+    def test_overflowing_k_raises_not_positive_definite(self, p):
+        # K overflows to inf on either path, on the helper thread too,
+        # with no warning; cholesky then rejects it.
+        assert (40 * p >= horseshoe._SPLIT_ENTRIES) == (p == 2000)
+        data = RegressionData(np.full((40, p), 1e160), np.ones(40))
+        with pytest.raises(NotPositiveDefinite, match="^iteration 1, block tau: "):
+            run_chain(data, ChainConfig(n_iter=2, burn_in=0))
+
+    def test_halves_overflowing_only_in_their_sum(self):
+        # Each half's Gram matrix is finite; their sum is inf, silently.
+        k = horseshoe._gram(np.full((40, 2000), math.sqrt(1.2e305)), np.ones(2000))
+        assert np.isposinf(k).all()
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="no fork on this platform")

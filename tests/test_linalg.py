@@ -7,7 +7,7 @@ from fastmvg import (
     solve_lower,
     solve_spd,
 )
-from fastmvg.linalg import _check_info, cholesky, syrk
+from fastmvg.linalg import _check_info, cholesky, gram
 
 from conftest import gauss_solve
 
@@ -24,10 +24,25 @@ class TestCholesky:
 
     def test_reads_upper_triangle_only(self):
         # No symmetry scan: the lower triangle of a C-ordered input is never
-        # read, and it is left in the factor's strict upper triangle.
+        # read, so an entry there does not change the factor.
         f = cholesky(np.array([[4.0, 2.0], [-7.0, 3.0]]))
-        np.testing.assert_allclose(np.tril(f.lower), [[2.0, 0.0], [1.0, np.sqrt(2.0)]],
+        np.testing.assert_allclose(f.lower, [[2.0, 0.0], [1.0, np.sqrt(2.0)]],
                                    rtol=1e-15)
+
+    @pytest.mark.parametrize("below", ["symmetric", "garbage"])
+    def test_factor_is_exactly_lower_triangular(self, below):
+        # Whatever the input holds below its diagonal, a full symmetric
+        # matrix or garbage, the factor's strict upper triangle is zero.
+        gen = np.random.default_rng(11)
+        m = gen.standard_normal((30, 30))
+        a = m @ m.T + np.eye(30)
+        expected = np.linalg.cholesky(a)
+        if below == "garbage":
+            a[np.tril_indices(30, -1)] = gen.standard_normal(435) * 1e3
+        f = cholesky(a)
+        assert np.shares_memory(f.lower, a)
+        assert not np.triu(f.lower, 1).any()
+        np.testing.assert_allclose(f.lower, expected, rtol=1e-12, atol=1e-12)
 
     def test_reconstruction_10x10(self):
         gen = np.random.default_rng(3)
@@ -84,43 +99,22 @@ class TestCholesky:
             cholesky(np.zeros((0, 0)))
 
 
-def accumulated(b):
-    """syrk(b, out) into a zeroed out."""
-    out = np.zeros((b.shape[0], b.shape[0]))
-    syrk(b, out)
-    return out
-
-
 class TestSyrk:
+    """``gram``, which numpy's matmul runs as one BLAS SYRK."""
+
     @pytest.mark.parametrize("n, p", [(6, 15), (15, 6), (1, 7), (7, 1), (1, 1)])
     def test_upper_triangle_matches_naive_products(self, n, p):
         b = np.random.default_rng(n * 31 + p).standard_normal((n, p))
         expected = np.array([[sum(b[i, k] * b[j, k] for k in range(p)) for j in range(n)]
                              for i in range(n)])
-        np.testing.assert_allclose(np.triu(accumulated(b)), np.triu(expected), rtol=1e-13)
-
-    def test_panels_accumulate_into_the_upper_triangle(self):
-        # Two column panels added into one out give B B' of the whole
-        # matrix, and the strict lower triangle is never written.
-        b = np.random.default_rng(12).standard_normal((9, 25))
-        out = np.zeros((9, 9))
-        syrk(b[:, :11], out)
-        syrk(b[:, 11:], out)
-        np.testing.assert_allclose(np.triu(out), np.triu(accumulated(b)), rtol=1e-13)
-        assert np.count_nonzero(np.tril(out, -1)) == 0
-
-    def test_out_that_would_be_copied_raises(self):
-        b = np.ones((3, 4))
-        with pytest.raises(ValueError):
-            syrk(b, np.zeros((3, 3), order="F"))
-        with pytest.raises(ValueError):
-            syrk(b, np.zeros((3, 3), dtype=np.float32))
+        m = gram(b)
+        np.testing.assert_allclose(np.triu(m), np.triu(expected), rtol=1e-13)
+        np.testing.assert_array_equal(m, m.T)  # both triangles, the same bits
 
     def test_factored_in_place_as_cholesky_reads_it(self):
-        # cholesky reads the upper triangle of a C-ordered input, which is
-        # the triangle syrk fills, and factors it without a copy.
+        # gram gives a new C-ordered array, which cholesky factors without a copy.
         b = np.random.default_rng(9).standard_normal((8, 20))
-        m = accumulated(b)
+        m = gram(b)
         m.flat[:: 9] += 1.0
         f = cholesky(m)
         assert np.shares_memory(f.lower, m)

@@ -539,6 +539,16 @@ class TestPanelledBuild:
         assert np.count_nonzero(np.triu(f.lower, 1)) == 0
         assert f.lower.flags.f_contiguous  # cholesky's in-place view of M
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_panels_overflowing_only_in_their_sum_raise(self, monkeypatch, dense):
+        # Each one-column panel's B B' is finite but their sum overflows:
+        # M is inf, which cholesky rejects, and no warning is raised.
+        monkeypatch.setattr(structured, "_PANEL_BYTES", 8)
+        scale = DenseSpdScale(np.eye(2)) if dense else DiagonalScale(np.ones(2))
+        g = StructuredGaussian(np.full((1, 2), math.sqrt(1.2e308)), scale, np.ones(1))
+        with pytest.raises(NotPositiveDefinite):
+            posterior_mean(g)
+
 
 class CountingNumpy:
     """numpy, with each call to one of ``names`` recorded in ``calls``."""
