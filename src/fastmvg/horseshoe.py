@@ -29,10 +29,10 @@ against, so K = X Lambda^2 X' is formed once per iteration (_gram).
 Below _SPLIT_ENTRIES (2^16) entries of X that is one ``linalg.gram``
 (a BLAS SYRK).  From there on the columns are split in two halves,
 whose Gram matrices are summed; the first half runs on a helper
-thread.  The bits depend on the size of X only.  The halves
-take more CPU time than the one SYRK, so the split pays only while a
-core is idle: a large chain uses two threads, and chains run in
-parallel should be counted at two cores each.
+thread.  For a given BLAS thread count the bits depend on the size of
+X only.  The halves take more CPU time than the one SYRK, so the split
+pays only while a core is idle: a large chain uses two threads, and
+chains run in parallel should be counted at two cores each.
 M is added to the identity and factored by
 ``structured.factor_identity_plus``, the function that builds every
 structured Gaussian's system, and ``update_beta`` takes the accepted
@@ -49,10 +49,10 @@ first iteration.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -253,7 +253,9 @@ def _log_sigma2_integral(q: float, n: int, floor: float) -> float:
 def _log_xi_target(k: np.ndarray, data: RegressionData, s: float,
                    fixed_sigma2: float | None) -> tuple[float, SpdFactor, float]:
     """update_tau's log target at log xi = s, the factor of M and q."""
-    factor = factor_identity_plus(k * math.exp(-s))  # M = I + K/xi
+    with np.errstate(over="ignore", invalid="ignore"):  # as in gram
+        k_xi = k * math.exp(-s)
+    factor = factor_identity_plus(k_xi)  # M = I + K/xi; cholesky rejects inf
     z = solve_lower(factor, data.y)
     q = float(np.dot(z, z))
     if fixed_sigma2 is None:
@@ -264,29 +266,18 @@ def _log_xi_target(k: np.ndarray, data: RegressionData, s: float,
     return -0.5 * factor.log_det + log_m + log_prior, factor, q
 
 
-# The helper thread that builds the first half of a split K, started on
-# first use.  A forked child has no copy of the thread, so the hook below
-# drops the executor there and the child starts its own.
-_helper: ThreadPoolExecutor | None = None
-_helper_lock = threading.Lock()
-
-
-def _forget_helper() -> None:
-    global _helper, _helper_lock
-    _helper = None
-    _helper_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
-
-
+@functools.cache
 def _helper_pool() -> ThreadPoolExecutor:
-    global _helper
-    with _helper_lock:
-        if _helper is None:
-            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fastmvg-gram")
-        return _helper
+    """The one helper thread that builds the first half of a split K,
+    started on first use.  Threads that race on first use may build a
+    second executor; it serves its one call, and its thread exits when
+    the executor is collected."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="fastmvg-gram")
+
+
+# A forked child has the executor but not its thread: it starts its own.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_helper_pool.cache_clear)
 
 
 def _half_gram(x: np.ndarray, lam: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -300,8 +291,9 @@ def _gram(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
     Below _SPLIT_ENTRIES entries of x this is one ``gram``.  From there
     on the columns are split at c = p // 2, each half gives its own Gram
     matrix, and K is their sum.  The first half is built on one helper
-    thread while the calling thread builds the second.  K depends on the
-    size of x alone; the two paths differ only in the last digits.
+    thread while the calling thread builds the second.  For a given BLAS
+    thread count K depends on the size of x alone; the two paths differ
+    only in the last digits.
     """
     n, p = x.shape
     if n * p < _SPLIT_ENTRIES:
@@ -432,9 +424,9 @@ def run_chain(data: RegressionData, cfg: ChainConfig) -> ChainResult:
     randomness comes from the stream keyed by cfg.seed.  A fit holds its
     kept x p float64 draws plus O(np) working memory: the summaries are
     taken in bounded column blocks (_summarize).  An error raised in an
-    iteration is raised again with the same type and its message
-    prefixed by the iteration (counted from 1) and the block, e.g.
-    ``iteration 37, block tau: ...``; block ``state`` is _check_scales.
+    iteration is raised again as its type (or its nearest base taking one
+    message), prefixed by the iteration (counted from 1) and the block,
+    e.g. ``iteration 37, block tau: ...``; block ``state`` is _check_scales.
     """
     rng = RngStream(cfg.seed, stream_id=0)
     # beta = 0 makes the first lambda step read neither tau nor sigma^2,
@@ -463,7 +455,13 @@ def run_chain(data: RegressionData, cfg: ChainConfig) -> ChainResult:
             block = "state"
             _check_scales(lam, tau, sigma2)
         except Exception as exc:
-            raise type(exc)(f"iteration {it}, block {block}: {exc}") from exc
+            for cls in type(exc).__mro__:  # the nearest class that takes one message
+                try:
+                    relabeled = cls(f"iteration {it}, block {block}: {exc}")
+                    break
+                except TypeError:  # as numpy's _ArrayMemoryError(shape, dtype)
+                    pass
+            raise relabeled from exc
         accepted += step.accepted
         if it > cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
             draws[k] = beta

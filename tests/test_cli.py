@@ -170,6 +170,20 @@ class TestSample:
         assert code == 2
         assert "row 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("phi.csv", "1,2\n3,nan\n", "row 2: non-finite value"),
+        ("phi.csv", "1,2\ninf,3\n", "row 2: non-finite value"),
+        ("phi.csv", "", "empty input"),
+        ("phi.csv", " \n\n  \n", "empty input"),
+        ("alpha.csv", "1,2\n", "row 1: expected a single value per row"),
+    ])
+    def test_unusable_input_exit_2(self, tmp_path, capsys, name, text, message):
+        files = {"phi.csv": "1,2\n", "d.csv": "1,1\n", "alpha.csv": "1\n", name: text}
+        paths = [write(tmp_path / f, files[f]) for f in ("phi.csv", "d.csv", "alpha.csv")]
+        code = main(["sample", *paths, "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert f"{tmp_path / name}: {message}" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, tmp_path):
         d = write(tmp_path / "d.csv", "1\n")
         alpha = write(tmp_path / "alpha.csv", "1\n")

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -378,6 +379,17 @@ class TestSplitGram:
         with pytest.raises(NotPositiveDefinite, match="^iteration 1, block tau: "):
             run_chain(data, ChainConfig(n_iter=2, burn_in=0))
 
+    def test_overflowing_k_over_xi_raises_not_positive_definite(self):
+        # K = 1e308 is finite; K/xi = 9e308 at tau = 3 overflows to inf
+        # with no warning, and cholesky rejects it.
+        x = np.full((40, 100), math.sqrt(1e308 / 100))
+        assert np.isfinite(horseshoe._gram(x, np.ones(100))).all()
+        data = RegressionData(x, np.ones(40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite):
+                update_tau(data, np.ones(100), 3.0, RngStream(0, 0))
+
     def test_halves_overflowing_only_in_their_sum(self):
         # Each half's Gram matrix is finite; their sum is inf, silently.
         k = horseshoe._gram(np.full((40, 2000), math.sqrt(1.2e305)), np.ones(2000))
@@ -392,7 +404,7 @@ class TestSplitGram:
         # first split K waits forever for the missing worker.
         data, lam = wide_tau_input()
         parent = unchanged_tau_step(data, lam)
-        assert horseshoe._helper is not None
+        assert horseshoe._helper_pool.cache_info().currsize == 1
         ctx = multiprocessing.get_context("fork")
         receive, send = ctx.Pipe(duplex=False)
         child = ctx.Process(target=_tau_factor_in_child, args=(send, data, lam))
@@ -409,6 +421,33 @@ class TestSplitGram:
             receive.close()
         assert child.exitcode == 0
         np.testing.assert_array_equal(lower, parent.factor.lower)
+
+    def test_first_use_from_several_threads(self):
+        # More threads than cores start the helper at once: each gets a
+        # K, and every factor has the serial run's bits.
+        data, lam = wide_tau_input()
+        serial = unchanged_tau_step(data, lam).factor.lower
+        horseshoe._helper_pool.cache_clear()
+        start = threading.Barrier(6)
+        factors = [None] * 6
+
+        def work(i):
+            start.wait(30)
+            factors[i] = unchanged_tau_step(data, lam).factor.lower
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for lower in factors:
+            np.testing.assert_array_equal(lower, serial)
 
 
 def test_benchmark_tracer_finds_every_attribute_it_wraps():
@@ -635,6 +674,18 @@ class TestRunChain:
         with pytest.raises(NotPositiveDefinite, match=r"^iteration 3, block sigma2: boom$") as info:
             run_chain(self.small_data(), ChainConfig(n_iter=10, burn_in=1, seed=1))
         assert isinstance(info.value.__cause__, NotPositiveDefinite)
+
+    def test_error_without_a_message_constructor_keeps_its_base(self, monkeypatch):
+        # numpy's _ArrayMemoryError(shape, dtype) takes no single message:
+        # the chain raises the nearest base that does, MemoryError.
+        def failing(*args):
+            return np.empty((10**12, 10**6))  # fails before allocating
+
+        monkeypatch.setattr(horseshoe, "update_beta", failing)
+        with pytest.raises(MemoryError, match=r"^iteration 1, block beta: ") as info:
+            run_chain(self.small_data(), ChainConfig(n_iter=3, burn_in=0, seed=1))
+        assert type(info.value) is MemoryError
+        assert isinstance(info.value.__cause__, MemoryError)
 
     def test_state_check_names_the_bad_scale(self, monkeypatch):
         # An infinite sigma^2 passes update_beta (alpha = y / sigma is 0),
