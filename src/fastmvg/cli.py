@@ -108,6 +108,8 @@ def _format_row(values) -> str:
 
 def _check_writable(path: str) -> None:
     """Fail before the work, not after it, when ``path`` cannot be created."""
+    if not path:
+        raise CliInputError("--out: cannot write: empty path")
     if os.path.isdir(path):
         raise CliInputError(f"{path}: cannot write: is a directory")
     folder = os.path.dirname(path) or "."
@@ -228,12 +230,9 @@ def cmd_simulate(args) -> int:
 
 def _parse_grid(text: str, name: str) -> list[int]:
     try:
-        grid = [int(tok) for tok in text.split(",") if tok.strip()]
+        return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise CliInputError(f"{name}: invalid integer grid {text!r}") from None
-    if not grid or min(grid) < 1:
-        raise CliInputError(f"{name}: grid must be nonempty positive integers")
-    return grid
 
 
 def cmd_bench(args) -> int:

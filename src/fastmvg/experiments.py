@@ -304,14 +304,14 @@ def run_bench(n_grid, p_grid, repetitions: int = 5, seed: int = 0) -> BenchResul
     reached; the reported value is the median of the block medians,
     which rejects transient machine load that would otherwise bias a
     single contiguous block.  Instance generation and stream warm-up
-    happen outside the clock.
+    happen outside the clock.  Each grid must hold distinct positive
+    integers; ConfigError is raised before anything is timed otherwise.
     """
     n_grid = [int(n) for n in n_grid]
     p_grid = [int(p) for p in p_grid]
-    if not n_grid or not p_grid:
-        raise ConfigError("benchmark grids must be nonempty")
-    if min(n_grid) < 1 or min(p_grid) < 1:
-        raise ConfigError("benchmark grid entries must be positive")
+    for name, grid in (("n_grid", n_grid), ("p_grid", p_grid)):
+        if not grid or min(grid) < 1 or len(set(grid)) < len(grid):
+            raise ConfigError(f"{name} must be distinct positive integers, got {grid}")
     if repetitions < 5:
         raise ConfigError("need at least 5 repetitions")
 
@@ -335,19 +335,15 @@ def run_bench(n_grid, p_grid, repetitions: int = 5, seed: int = 0) -> BenchResul
                         blocks[(method, n, p)].append(
                             _time_block(sampler, g, rng, per_pass_reps, per_pass_floor)
                         )
-    rows = [
-        BenchRow(method=method, n=n, p=p,
-                 median_seconds=float(np.median(blocks[(method, n, p)])))
-        for method in samplers for n in n_grid for p in p_grid
-    ]
+    medians = {key: float(np.median(times)) for key, times in blocks.items()}
+    rows = [BenchRow(method, n, p, t) for (method, n, p), t in medians.items()]
     slopes: dict[tuple[str, int], float] = {}
     if len(p_grid) >= 2:
         logp = np.log(np.array(p_grid, dtype=float))
         for method in samplers:
             for n in n_grid:
-                t = np.array([r.median_seconds for r in rows
-                              if r.method == method and r.n == n])
-                slopes[(method, n)] = float(np.polyfit(logp, np.log(t), 1)[0])
+                logt = np.log([medians[(method, n, p)] for p in p_grid])
+                slopes[(method, n)] = float(np.polyfit(logp, logt, 1)[0])
     return BenchResult(rows=rows, slopes=slopes)
 
 

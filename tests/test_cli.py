@@ -176,6 +176,9 @@ class TestSample:
         ("phi.csv", "", "empty input"),
         ("phi.csv", " \n\n  \n", "empty input"),
         ("alpha.csv", "1,2\n", "row 1: expected a single value per row"),
+        ("d.csv", "1,0,0\n0,1,0\n0,0,1\n",
+         "row 1: expected 1 row (diagonal) or 2 rows (dense), found shape 3x3"),
+        ("alpha.csv", "1\n2\n", "row 1: expected 1 rows to match phi, found 2"),
     ])
     def test_unusable_input_exit_2(self, tmp_path, capsys, name, text, message):
         files = {"phi.csv": "1,2\n", "d.csv": "1,1\n", "alpha.csv": "1\n", name: text}
@@ -493,30 +496,59 @@ class TestBench:
         assert f"{out}: cannot write" in capsys.readouterr().err
         assert not out.parent.exists()
 
-    def test_invalid_grid_exit_2(self, tmp_path):
-        assert main(["bench", "--n-grid", "abc", "--p-grid", "50",
-                     "--out", str(tmp_path / "b.csv")]) == 2
-        assert main(["bench", "--n-grid", "10", "--p-grid", "0",
-                     "--out", str(tmp_path / "b.csv")]) == 2
+    def test_invalid_grid_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        for n_grid, p_grid in (("abc", "50"), ("10", "0"), ("10,10", "20,40"),
+                               ("10", "40,40"), (",", "40")):
+            assert main(["bench", "--n-grid", n_grid, "--p-grid", p_grid,
+                         "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not out.exists()
 
 
-@pytest.mark.parametrize("work, argv, directory", [
-    ("fast_sample", ["sample", "phi.csv", "d.csv", "alpha.csv", "--out", "out.csv"], "out.csv"),
-    ("run_chain", ["fit", "x.csv", "y.csv", "--save-draws", "--out", "fit"], "fit_draws.csv"),
-    ("run_replicates", ["simulate", "--n", "30", "--p", "20", "--out", "out.csv"], "out.csv"),
-    ("run_bench", ["bench", "--n-grid", "10", "--p-grid", "40", "--out", "out.csv"], "out.csv"),
-], ids=["sample", "fit", "simulate", "bench"])
+# Per subcommand: the function that does its work, a command line whose
+# --out comes last, and the path that --out names.
+WORK_BEFORE_OUT = {
+    "sample": ("fast_sample", ["sample", "phi.csv", "d.csv", "alpha.csv", "--out", "out.csv"],
+               "out.csv"),
+    "fit": ("run_chain", ["fit", "x.csv", "y.csv", "--save-draws", "--out", "fit"],
+            "fit_draws.csv"),
+    "simulate": ("run_replicates", ["simulate", "--n", "30", "--p", "20", "--out", "out.csv"],
+                 "out.csv"),
+    "bench": ("run_bench", ["bench", "--n-grid", "10", "--p-grid", "40", "--out", "out.csv"],
+              "out.csv"),
+}
+
+
+def forbid_work(monkeypatch, work):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} called before the output was checked")
+
+    monkeypatch.setattr(cli, work, no_work)
+
+
+@pytest.mark.parametrize("work, argv, directory", WORK_BEFORE_OUT.values(),
+                         ids=WORK_BEFORE_OUT.keys())
 def test_directory_out_fails_before_work(work, argv, directory, tmp_path, unit_instance,
                                          monkeypatch, capsys):
     # An output path that is an existing directory exits 2 before any
     # work; for fit --save-draws it is the draws file that is a directory.
-    def no_work(*args, **kwargs):
-        raise AssertionError(f"{work} called before the output was checked")
-
     write(tmp_path / "x.csv", "1\n0.5\n-0.5\n")
     write(tmp_path / "y.csv", "1\n0.4\n-0.6\n")
     (tmp_path / directory).mkdir()
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, work, no_work)
+    forbid_work(monkeypatch, work)
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {directory}: cannot write: is a directory\n"
+
+
+@pytest.mark.parametrize("command", ["sample", "simulate", "bench"])
+def test_empty_out_fails_before_work(command, tmp_path, unit_instance, monkeypatch, capsys):
+    # An empty --out names no file, so it exits 2 before any work.  (For
+    # fit it is a valid prefix: the summary goes to "_summary.csv".)
+    work, argv, _ = WORK_BEFORE_OUT[command]
+    monkeypatch.chdir(tmp_path)
+    forbid_work(monkeypatch, work)
+    assert main([*argv[:-1], ""]) == 2
+    assert capsys.readouterr().err == "error: --out: cannot write: empty path\n"

@@ -88,6 +88,13 @@ class TestGenDesign:
         for name, bad in (("n", 5.5), ("p", 5.0), ("sparsity", 2.0), ("n_replicates", 2.5)):
             with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
                 SimDesign(**{"n": 10, "p": 5, name: bad})
+        for n, p in ((1, 5), (10, 0)):
+            with pytest.raises(ConfigError, match=r"^need n >= 2 and p >= 1"):
+                SimDesign(n=n, p=p)
+        with pytest.raises(ConfigError, match="^signal_set must be one of"):
+            SimDesign(n=10, p=5, signal_set="huge")
+        with pytest.raises(ConfigError, match="^n_replicates must be >= 1"):
+            SimDesign(n=10, p=5, n_replicates=0)
 
 
 class TestComputeMetrics:
@@ -223,6 +230,13 @@ class TestRunBench:
             run_bench([], [50], repetitions=5)
         with pytest.raises(ConfigError):
             run_bench([10], [50], repetitions=2)
+        # A repeated value would time one point twice and fit its slope
+        # to duplicated points, so it is refused with the other bad grids.
+        for n_grid, p_grid, name in (([10, 10], [20, 40], "n_grid"), ([10], [40, 40], "p_grid"),
+                                     ([10], [0], "p_grid"), ([0, 10], [40], "n_grid"),
+                                     ([10], [], "p_grid")):
+            with pytest.raises(ConfigError, match=f"^{name} must be distinct positive integers"):
+                run_bench(n_grid, p_grid, repetitions=5)
 
 
 class TestBlasPin:

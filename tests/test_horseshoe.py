@@ -633,7 +633,7 @@ class TestRunChain:
         # sigma^2 draw at the floor instead of integrating over
         # [floor, inf) lets tau run off and fails here before iteration
         # 100.  (Chains of some thousand iterations on this input still
-        # fail to factor M, at the parent too: ROADMAP item 5.)
+        # fail to factor I + K / xi in the tau step: ROADMAP item 2.)
         gen = np.random.default_rng(0)
         x = gen.standard_normal((20, 10))
         data = RegressionData(x, 2.0 * x[:, 0])
@@ -772,6 +772,10 @@ class TestRunChain:
             RegressionData(np.ones((3, 0)), np.ones(3))  # no predictors
         with pytest.raises(ValueError):
             RegressionData(np.full((3, 2), np.nan), np.ones(3))
+        with pytest.raises(DimensionMismatch, match="^x must be n x p"):
+            RegressionData(np.ones(3), np.ones(3))
+        with pytest.raises(DimensionMismatch, match="^x has 3 rows but y has length 4"):
+            RegressionData(np.ones((3, 2)), np.ones(4))
 
 
 # Runs in a fresh interpreter.  After each entry point it records

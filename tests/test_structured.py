@@ -45,6 +45,8 @@ class TestScaleStructures:
             DiagonalScale(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             DiagonalScale(np.array([1.0, -2.0]))
+        with pytest.raises(DimensionMismatch, match="^diagonal scale expects a vector"):
+            DiagonalScale(np.ones((2, 2)))
 
     def test_dense_factor_reconstructs(self):
         gen = np.random.default_rng(0)
@@ -56,6 +58,8 @@ class TestScaleStructures:
     def test_dense_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             DenseSpdScale(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="^dense scale entries must be finite"):
+            DenseSpdScale(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
     def test_dense_tiny_pivot_raises(self):
         # Singular at working precision: LAPACK accepts the second pivot
@@ -73,6 +77,12 @@ class TestScaleStructures:
         with pytest.raises(ValueError):
             StructuredGaussian(np.ones((2, 3)), DiagonalScale(np.ones(3)),
                                np.array([1.0, np.nan]))
+        with pytest.raises(DimensionMismatch, match="^phi must be an n x p matrix"):
+            StructuredGaussian(np.ones(3), DiagonalScale(np.ones(3)), np.ones(1))
+        with pytest.raises(DimensionMismatch, match="^alpha must be a vector"):
+            StructuredGaussian(np.ones((2, 3)), DiagonalScale(np.ones(3)), np.ones((2, 1)))
+        with pytest.raises(DimensionMismatch, match="^phi must have at least one row"):
+            StructuredGaussian(np.ones((0, 3)), DiagonalScale(np.ones(3)), np.ones(0))
 
     @pytest.mark.parametrize("dense", [False, True])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
