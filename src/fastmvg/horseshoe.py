@@ -39,7 +39,8 @@ structured Gaussian's system, and ``update_beta`` takes the accepted
 factor as a required argument: the beta draw builds no system.
 
 The four updates take plain arrays and scalars; run_chain holds the
-state as locals and checks its scales after every iteration.
+state as locals.  A zero, infinite or NaN lambda or tau fails in the
+block that next reads it (tau or beta); update_sigma2 checks its draw.
 
 scipy.special, which only the sampled-sigma^2 steps use, is imported
 inside _log_sigma2_integral and update_sigma2, not with this module: a
@@ -253,7 +254,7 @@ def _log_sigma2_integral(q: float, n: int, floor: float) -> float:
 def _log_xi_target(k: np.ndarray, data: RegressionData, s: float,
                    fixed_sigma2: float | None) -> tuple[float, SpdFactor, float]:
     """update_tau's log target at log xi = s, the factor of M and q."""
-    with np.errstate(over="ignore", invalid="ignore"):  # as in gram
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _half_gram
         k_xi = k * math.exp(-s)
     factor = factor_identity_plus(k_xi)  # M = I + K/xi; cholesky rejects inf
     z = solve_lower(factor, data.y)
@@ -281,8 +282,10 @@ if hasattr(os, "register_at_fork"):
 
 
 def _half_gram(x: np.ndarray, lam: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """B B' for B = X[:, lo:hi] diag(lam[lo:hi])."""
-    return gram(x[:, lo:hi] * lam[lo:hi])
+    """B B' for B = X[:, lo:hi] diag(lam[lo:hi]); an overflow in either
+    product gives inf or NaN silently, on a helper thread too (see gram)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return gram(x[:, lo:hi] * lam[lo:hi])
 
 
 def _gram(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -304,7 +307,7 @@ def _gram(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
         second = _half_gram(x, lam, c, p)
     finally:
         first = pending.result()  # no work outlives the call
-    with np.errstate(over="ignore", invalid="ignore"):  # as in gram
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _half_gram
         first += second
     return first
 
@@ -349,7 +352,9 @@ def update_sigma2(q: float, data: RegressionData, rng: RngStream) -> float:
     q/2) truncated to (0, 1/f], drawn by inverse CDF from one uniform u.
     When that gamma's mass below 1/f underflows, as at q = 0 (a zero
     response), the draw is the truncated gamma's q -> 0 limit, the
-    power law that gives sigma^2 = f u^(-2/n).
+    power law that gives sigma^2 = f u^(-2/n).  A draw that is not finite
+    and positive, as from an infinite q (|y|^2 past 1e308), raises
+    ValueError: the beta draw would pass it, as y / sigma is 0.
     """
     from scipy.special import gammainc, gammaincinv
 
@@ -357,9 +362,10 @@ def update_sigma2(q: float, data: RegressionData, rng: RngStream) -> float:
     f = data.sigma2_floor
     u = rng.uniform()
     t = float(gammaincinv(a, u * gammainc(a, q / (2.0 * f))))  # t = q / (2 sigma^2)
-    if t > 0.0:
-        return 0.5 * q / t
-    return f * u ** (-1.0 / a)
+    sigma2 = 0.5 * q / t if t > 0.0 else f * u ** (-1.0 / a)
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError("sigma2 must be finite and positive")
+    return sigma2
 
 
 def update_beta(data: RegressionData, lam: np.ndarray, tau: float, sigma2: float,
@@ -405,17 +411,6 @@ def _summarize(draws: np.ndarray) -> IntervalSummary:
                            lower=bounds[0], upper=bounds[1])
 
 
-def _check_scales(lam: np.ndarray, tau: float, sigma2: float) -> None:
-    """Raise ValueError unless lam, tau and sigma2 are finite and positive."""
-    # Two reductions and no temporaries: a NaN fails both comparisons.
-    if not (lam.min() > 0.0 and lam.max() < math.inf):
-        raise ValueError("local scales must be finite and positive")
-    if not 0.0 < tau < math.inf:
-        raise ValueError("tau must be finite and positive")
-    if not 0.0 < sigma2 < math.inf:
-        raise ValueError("sigma2 must be finite and positive")
-
-
 def run_chain(data: RegressionData, cfg: ChainConfig) -> ChainResult:
     """Systematic scan: lambda, then the (tau, sigma^2, beta) block.
 
@@ -426,7 +421,7 @@ def run_chain(data: RegressionData, cfg: ChainConfig) -> ChainResult:
     taken in bounded column blocks (_summarize).  An error raised in an
     iteration is raised again as its type (or its nearest base taking one
     message), prefixed by the iteration (counted from 1) and the block,
-    e.g. ``iteration 37, block tau: ...``; block ``state`` is _check_scales.
+    e.g. ``iteration 37, block tau: ...``.
     """
     rng = RngStream(cfg.seed, stream_id=0)
     # beta = 0 makes the first lambda step read neither tau nor sigma^2,
@@ -452,8 +447,6 @@ def run_chain(data: RegressionData, cfg: ChainConfig) -> ChainResult:
                 sigma2 = update_sigma2(step.q, data, rng)
             block = "beta"
             beta = update_beta(data, lam, tau, sigma2, rng, step.factor)
-            block = "state"
-            _check_scales(lam, tau, sigma2)
         except Exception as exc:
             for cls in type(exc).__mro__:  # the nearest class that takes one message
                 try:

@@ -69,12 +69,12 @@ def gram(b: np.ndarray) -> np.ndarray:
     """B B' for an n x p ``b``, as a new symmetric C-ordered n x n array.
 
     numpy's matmul runs ``b @ b.T`` as one BLAS SYRK, half the flops of
-    a GEMM, and releases the GIL.  An overflow gives inf or NaN entries
-    with no warning, for ``cholesky`` to reject.  numpy's error state is
-    set here, because a worker thread does not inherit its caller's.
+    a GEMM, and releases the GIL.  An overflow gives inf or NaN entries,
+    for ``cholesky`` to reject.  Callers form ``b`` and B B' under one
+    ``np.errstate`` that silences the overflow, in the thread that runs
+    them: a worker thread does not inherit its caller's error state.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return b @ b.T
+    return b @ b.T
 
 
 def cholesky(a: np.ndarray) -> SpdFactor:

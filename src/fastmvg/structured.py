@@ -258,15 +258,16 @@ class StructuredGaussian:
 
     @functools.cached_property
     def _coupling(self) -> SpdFactor:
-        """The factor of the n x n system matrix M = Phi D Phi' + I_n."""
-        # M = I + sum of B_b B_b' over column panels B_b of Phi D^{1/2}.
+        """The factor of M = Phi D Phi' + I_n, the sum of I_n and B_b B_b'
+        over column panels B_b of Phi D^{1/2}.  An overflow in a panel, its
+        Gram matrix or the sum leaves inf or NaN in M with no warning."""
         n, p = self.phi.shape
         width = max(1, _PANEL_BYTES // (8 * n))
-        m = gram(self.scale.phi_times_scale(self.phi, 0, min(width, p)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = gram(self.scale.phi_times_scale(self.phi, 0, min(width, p)))
         for lo in range(width, p, width):
-            panel = gram(self.scale.phi_times_scale(self.phi, lo, min(lo + width, p)))
-            with np.errstate(over="ignore", invalid="ignore"):  # as in gram
-                m += panel
+            with np.errstate(over="ignore", invalid="ignore"):
+                m += gram(self.scale.phi_times_scale(self.phi, lo, min(lo + width, p)))
         return factor_identity_plus(m)
 
     @functools.cached_property
@@ -303,7 +304,8 @@ def fast_sample(g: StructuredGaussian, rng: RngStream) -> AugmentedDraw:
     (or mean, or density) on an instance builds its n x n system, whose
     panelled SYRKs over the n x p Phi D^{1/2} dominate the cost and grow
     linearly in p for diagonal D; later draws on the same instance cost
-    O(np).
+    O(np).  The system is built before Phi u is formed, so an
+    overflowing Phi D Phi' raises NotPositiveDefinite with no warning.
 
     Precision: theta = u + D Phi' w cancels u, drawn at the prior's
     scale, down to the posterior's, so a draw silently loses about half
@@ -313,10 +315,11 @@ def fast_sample(g: StructuredGaussian, rng: RngStream) -> AugmentedDraw:
     huge D that far, ``baseline_sample``, which factors the p x p
     precision, does not cancel (ROADMAP item 6).
     """
+    factor = g._coupling
     u = g.scale.sample_zero_mean(rng)
     delta = rng.standard_normal(g.n)
     v = g.phi @ u + delta
-    w = solve_spd(g._coupling, g.alpha - v)
+    w = solve_spd(factor, g.alpha - v)
     theta = u + g.scale.matvec(w @ g.phi)
     return AugmentedDraw(u=u, delta=delta, v=v, w=w, theta=theta)
 
@@ -334,10 +337,11 @@ def baseline_sample(g: StructuredGaussian, rng: RngStream) -> np.ndarray:
     iteration, so there is no factor to reuse.  Consumes p standard
     normals.
     """
-    q = g.phi.T @ g.phi
-    g.scale.add_inverse_inplace(q)
     # Q = Phi' Phi + D^-1 is SPD for a finite Phi (D is validated SPD);
-    # a NaN, inf or overflow in Q fails cholesky's pivot checks.
+    # an overflow leaves inf or NaN in Q, silently, which cholesky rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = g.phi.T @ g.phi
+        g.scale.add_inverse_inplace(q)
     factor = cholesky(q)
     # mu + L^-T z = L^-T (L^-1 Phi' alpha + z): two triangular solves.
     w = solve_lower(factor, g.phi.T @ g.alpha)

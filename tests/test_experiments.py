@@ -1,3 +1,5 @@
+import ctypes.util
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from fastmvg import (
     ChainConfig,
     ChainResult,
     ConfigError,
+    DimensionMismatch,
     IntervalSummary,
     RngStream,
     STRONG_SIGNALS,
@@ -137,6 +140,13 @@ class TestComputeMetrics:
         m = compute_metrics(res, beta0, np.eye(4))
         assert m.signal_coverage == 1.0
         assert m.noise_coverage == pytest.approx(2.0 / 3.0)
+
+    @pytest.mark.parametrize("beta_width, x_width", [(5, 5), (4, 5)])
+    def test_wrong_width_raises(self, beta_width, x_width):
+        # The chain has 4 coordinates; beta0, or else x, has 5.
+        with pytest.raises(DimensionMismatch, match="^chain, beta0 and x dimensions do not agree$"):
+            compute_metrics(summary_result(np.zeros(4)), np.zeros(beta_width),
+                            np.eye(3, x_width))
 
 
 class TestRunReplicates:
@@ -278,6 +288,14 @@ class TestBlasPin:
         with pytest.raises(BlasPinError, match="read back 2 threads, not 1"):
             run_bench([10], [40, 80], repetitions=5, seed=1)
         assert seen == []
+
+    @pytest.mark.parametrize("path", [
+        "no-such-dir/libscipy_openblas.so",  # no library there
+        ctypes.util.find_library("m"),  # a library without the symbols
+    ])
+    def test_unloadable_library_raises(self, path):
+        with pytest.raises(BlasPinError, match="^numpy OpenBLAS at "):
+            OpenBlas("numpy", path, "64_")
 
     def test_missing_library_refuses_before_timing(self, monkeypatch, libs):
         seen = self.spy_on_timing(monkeypatch, libs)

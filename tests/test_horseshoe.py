@@ -370,12 +370,18 @@ class TestSplitGram:
         oracle = factor_identity_plus(k * math.exp(2.0 * math.log(tau)))
         np.testing.assert_array_equal(step.factor.lower, oracle.lower)
 
-    @pytest.mark.parametrize("p", [100, 2000])  # one gram, and two halves
-    def test_overflowing_k_raises_not_positive_definite(self, p):
-        # K overflows to inf on either path, on the helper thread too,
-        # with no warning; cholesky then rejects it.
+    @pytest.mark.parametrize("p, entry, lam", [  # one gram, and two halves; K, then X * lam
+        pytest.param(100, 1e160, 1.0, id="100"), pytest.param(2000, 1e160, 1.0, id="2000"),
+        pytest.param(100, 1e307, 1e5, id="100-x_lam"),
+        pytest.param(2000, 1e307, 1e5, id="2000-x_lam"),
+    ])
+    def test_overflowing_k_raises_not_positive_definite(self, monkeypatch, p, entry, lam):
+        # K, or the product X * lam it is built from, overflows to inf on
+        # either path, on the helper thread too, with no warning; cholesky
+        # then rejects it.
         assert (40 * p >= horseshoe._SPLIT_ENTRIES) == (p == 2000)
-        data = RegressionData(np.full((40, p), 1e160), np.ones(40))
+        monkeypatch.setattr(horseshoe, "update_lambda", lambda *args: np.full(p, lam))
+        data = RegressionData(np.full((40, p), entry), np.ones(40))
         with pytest.raises(NotPositiveDefinite, match="^iteration 1, block tau: "):
             run_chain(data, ChainConfig(n_iter=2, burn_in=0))
 
@@ -504,6 +510,13 @@ class TestUpdateSigma2:
         grid = np.linspace(0.25, 1e4, 2_000_001)
         cdf = 1.0 - gammainc(2.0, 1.0 / grid) / gammainc(2.0, 4.0)
         assert ks_statistic(draws, grid, cdf) < 0.01
+
+    def test_infinite_q_raises(self):
+        # q = inf, as from a response with |y|^2 past 1e308, would draw
+        # sigma^2 = inf.
+        data = RegressionData(np.zeros((3, 1)), np.array([2.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="^sigma2 must be finite and positive$"):
+            update_sigma2(math.inf, data, RngStream(53, 0))
 
     def test_sigma2_integral_limits(self):
         # The two forms of the integral agree where they meet (x = n/2),
@@ -687,12 +700,14 @@ class TestRunChain:
         assert type(info.value) is MemoryError
         assert isinstance(info.value.__cause__, MemoryError)
 
-    def test_state_check_names_the_bad_scale(self, monkeypatch):
-        # An infinite sigma^2 passes update_beta (alpha = y / sigma is 0),
-        # so the scale check after the beta draw is what raises.
-        monkeypatch.setattr(horseshoe, "update_sigma2", lambda q, data, rng: math.inf)
+    def test_infinite_sigma2_names_its_block(self, monkeypatch):
+        # An infinite q gives sigma^2 = inf, which update_beta would pass
+        # (alpha = y / sigma is 0), so the sigma^2 step itself raises.
+        real = horseshoe.update_tau
+        monkeypatch.setattr(horseshoe, "update_tau",
+                            lambda *args: real(*args)._replace(q=math.inf))
         with pytest.raises(ValueError,
-                           match=r"^iteration 1, block state: sigma2 must be finite and positive$"):
+                           match=r"^iteration 1, block sigma2: sigma2 must be finite and positive$"):
             run_chain(self.small_data(), ChainConfig(n_iter=10, burn_in=1, seed=1))
 
     def test_missing_special_functions_name_the_iteration_and_block(self, monkeypatch):

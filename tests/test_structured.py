@@ -639,15 +639,18 @@ class TestHostileScales:
                                    rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("dense", [False, True])
-    @pytest.mark.parametrize("n, p", [(1, 3), (3, 5)])
-    def test_overflowing_phi_raises(self, n, p, dense):
+    @pytest.mark.parametrize("n, p, entry", [  # B B', then B itself, overflows
+        pytest.param(1, 3, 1e200, id="1-3"), pytest.param(3, 5, 1e200, id="3-5"),
+        pytest.param(1, 3, 1e307, id="1-3-1e307"), pytest.param(3, 5, 1e307, id="3-5-1e307"),
+    ])
+    def test_overflowing_phi_raises(self, n, p, entry, dense):
         # Every entry of phi and d is finite, but Phi D Phi' and Phi' Phi
-        # overflow to inf; a consumer must not return a value built on them.
+        # overflow to inf; a consumer must not return a value built on
+        # them, and must raise no warning on the way.
         d = np.full(p, 1e10)
         scale = DenseSpdScale(np.diag(d)) if dense else DiagonalScale(d)
-        g = StructuredGaussian(np.full((n, p), 1e200), scale, np.ones(n))
-        with np.errstate(over="ignore"):  # Phi' Phi in baseline_sample
-            assert_every_consumer_raises(g)
+        g = StructuredGaussian(np.full((n, p), entry), scale, np.ones(n))
+        assert_every_consumer_raises(g)
 
 
 @st.composite
