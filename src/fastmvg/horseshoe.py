@@ -26,7 +26,7 @@ All three read the n x n system M = I + tau^2 X Lambda^2 X'.  Its
 factor gives log |M| and q = y' M^-1 y for the xi target and the
 sigma^2 draw, and the accepted factor is the one the beta draw solves
 against, so K = X Lambda^2 X' is formed once per iteration (_gram).
-Below _SPLIT_ENTRIES (2^16) entries of X that is one ``linalg.gram``
+Below _SPLIT_ENTRIES (2^16) entries of X that is one ``b @ b.T``
 (a BLAS SYRK).  From there on the columns are split in two halves,
 whose Gram matrices are summed; the first half runs on a helper
 thread.  For a given BLAS thread count the bits depend on the size of
@@ -61,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch
-from .linalg import SpdFactor, gram, solve_lower
+from .linalg import SpdFactor, solve_lower
 from .rng import RngStream
 from .structured import DiagonalScale, StructuredGaussian, factor_identity_plus, fast_sample
 
@@ -117,7 +117,10 @@ class RegressionData:
             raise ValueError("x and y entries must be finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        v = float(np.var(y))
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = float(np.var(y))
+        if not math.isfinite(v):
+            raise ValueError("the variance of y overflows: rescale y")
         object.__setattr__(self, "sigma2_floor", 1e-12 * (v if v > 0.0 else 1.0))
 
     @property
@@ -255,10 +258,9 @@ def _log_xi_target(k: np.ndarray, data: RegressionData, s: float,
                    fixed_sigma2: float | None) -> tuple[float, SpdFactor, float]:
     """update_tau's log target at log xi = s, the factor of M and q."""
     with np.errstate(over="ignore", invalid="ignore"):  # as in _half_gram
-        k_xi = k * math.exp(-s)
-    factor = factor_identity_plus(k_xi)  # M = I + K/xi; cholesky rejects inf
-    z = solve_lower(factor, data.y)
-    q = float(np.dot(z, z))
+        factor = factor_identity_plus(k * math.exp(-s))  # M = I + K/xi; cholesky rejects inf
+        z = solve_lower(factor, data.y)
+        q = float(np.dot(z, z))  # inf past 1e308, which update_sigma2 rejects
     if fixed_sigma2 is None:
         log_m = _log_sigma2_integral(q, data.n, data.sigma2_floor)
     else:
@@ -268,30 +270,28 @@ def _log_xi_target(k: np.ndarray, data: RegressionData, s: float,
 
 
 @functools.cache
-def _helper_pool() -> ThreadPoolExecutor:
-    """The one helper thread that builds the first half of a split K,
-    started on first use.  Threads that race on first use may build a
-    second executor; it serves its one call, and its thread exits when
-    the executor is collected."""
+def _helper_pool(pid: int) -> ThreadPoolExecutor:
+    """The helper thread of process ``pid`` that builds the first half of
+    a split K, started on first use.  A forked child has its parent's
+    executor but not its thread; keyed by its own pid, it starts its own,
+    so the cache holds one entry per process in the child's ancestry.
+    Threads that race on first use may build a second executor; it
+    serves its one call, and its thread exits when it is collected."""
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="fastmvg-gram")
-
-
-# A forked child has the executor but not its thread: it starts its own.
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_helper_pool.cache_clear)
 
 
 def _half_gram(x: np.ndarray, lam: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """B B' for B = X[:, lo:hi] diag(lam[lo:hi]); an overflow in either
-    product gives inf or NaN silently, on a helper thread too (see gram)."""
+    product gives inf or NaN silently, on a helper thread too (see linalg)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return gram(x[:, lo:hi] * lam[lo:hi])
+        b = x[:, lo:hi] * lam[lo:hi]
+        return b @ b.T
 
 
 def _gram(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """K = X diag(lam^2) X', a new symmetric C-ordered n x n array.
 
-    Below _SPLIT_ENTRIES entries of x this is one ``gram``.  From there
+    Below _SPLIT_ENTRIES entries of x this is one ``b @ b.T``.  From there
     on the columns are split at c = p // 2, each half gives its own Gram
     matrix, and K is their sum.  The first half is built on one helper
     thread while the calling thread builds the second.  For a given BLAS
@@ -302,7 +302,7 @@ def _gram(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
     if n * p < _SPLIT_ENTRIES:
         return _half_gram(x, lam, 0, p)
     c = p // 2
-    pending = _helper_pool().submit(_half_gram, x, lam, 0, c)
+    pending = _helper_pool(os.getpid()).submit(_half_gram, x, lam, 0, c)
     try:
         second = _half_gram(x, lam, c, p)
     finally:
@@ -327,7 +327,7 @@ def update_tau(data: RegressionData, lam: np.ndarray, tau: float, rng: RngStream
     the noise prior's support [data.sigma2_floor, inf)
     (_log_sigma2_integral).  The last two terms are the half-Cauchy
     prior of tau with the Jacobian of log xi.  The proposal is
-    log xi + 0.8 z.  K is built once (_gram): one gram below
+    log xi + 0.8 z.  K is built once (_gram): one SYRK below
     _SPLIT_ENTRIES entries of X, else two column halves, one of them on
     a helper thread.  The target at the current and at the proposed xi
     each cost one n x n Cholesky factorization and one triangular

@@ -1,20 +1,24 @@
 """Dense SPD build, factorization and solve kernels used by every sampler.
 
 Everything is float64 and dense: the precision matrices arising here
-have no exploitable sparsity.  ``gram`` forms B B' with numpy's matmul
-(one BLAS SYRK); the factorization and the solves call LAPACK's potrf,
-potrs and trtrs directly, with the package's error contract layered on
-top.  The scipy.linalg wrappers add a fixed cost per call that is
-larger than the factorization itself at n = 50, and that constant
-would flatten the linear-in-p scaling of the fast sampler.
+have no exploitable sparsity.  Callers form each B B' as numpy's
+``b @ b.T``, which runs as one BLAS SYRK, half the flops of a GEMM,
+and releases the GIL.  The factorization and the solves call LAPACK's
+potrf, potrs and trtrs directly, with the package's error contract
+layered on top.  The scipy.linalg wrappers add a fixed cost per call
+that is larger than the factorization itself at n = 50, and that
+constant would flatten the linear-in-p scaling of the fast sampler.
 
 ``cholesky`` factors a C-ordered matrix in place, reading its upper
 triangle only, into an exactly lower-triangular factor.  It runs no
 symmetry scan and no pivot floor, but it is the one place that rejects
 a non-finite matrix: a non-positive, NaN or infinite pivot raises
-NotPositiveDefinite, at O(n) cost.  A caller that holds a matrix from
-outside the package validates it first, as ``structured.DenseSpdScale``
-does.
+NotPositiveDefinite, at O(n) cost.  So a caller forms B and B B' under
+one ``np.errstate(over="ignore", invalid="ignore")``, in the thread
+that runs them (a worker thread does not inherit its caller's error
+state): an overflow then reaches ``cholesky`` as inf or NaN, with no
+warning.  A caller that holds a matrix from outside the package
+validates it first, as ``structured.DenseSpdScale`` does.
 """
 from __future__ import annotations
 
@@ -63,18 +67,6 @@ class SpdFactor:
     def log_det(self) -> float:
         """log |A| of the factored matrix."""
         return 2.0 * float(np.sum(np.log(np.diagonal(self.lower))))
-
-
-def gram(b: np.ndarray) -> np.ndarray:
-    """B B' for an n x p ``b``, as a new symmetric C-ordered n x n array.
-
-    numpy's matmul runs ``b @ b.T`` as one BLAS SYRK, half the flops of
-    a GEMM, and releases the GIL.  An overflow gives inf or NaN entries,
-    for ``cholesky`` to reject.  Callers form ``b`` and B B' under one
-    ``np.errstate`` that silences the overflow, in the thread that runs
-    them: a worker thread does not inherit its caller's error state.
-    """
-    return b @ b.T
 
 
 def cholesky(a: np.ndarray) -> SpdFactor:

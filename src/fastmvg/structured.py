@@ -19,8 +19,8 @@ diagonal scale also keeps D^{1/2}.  Each is computed on first use.
 For diagonal D, every later draw then costs p + n standard normals,
 two passes over Phi and one n x n solve, the mean costs one pass over
 Phi, and a density one pass over Phi plus O(p).  M is built as
-I_n + sum_b B_b B_b', one ``gram`` (a BLAS SYRK) per column panel B_b
-of Phi D^{1/2} (Phi L for a dense D = L L'), summed into the first
+I_n + sum_b B_b B_b', one ``b @ b.T`` (a BLAS SYRK) per column panel
+B_b of Phi D^{1/2} (Phi L for a dense D = L L'), summed into the first
 panel's n x n array, which is then factored in place.  A panel holds
 about _PANEL_BYTES, so it stays in a core's L2 cache, and the build's
 transient memory is n x panel + n^2 doubles, whatever p is.  Step (iv)
@@ -42,7 +42,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .linalg import SpdFactor, cholesky, gram, solve_lower, solve_spd
+from .linalg import SpdFactor, cholesky, solve_lower, solve_spd
 from .rng import RngStream
 
 # Bytes of one column panel of Phi D^{1/2} in the build of M.  Panels of
@@ -264,10 +264,12 @@ class StructuredGaussian:
         n, p = self.phi.shape
         width = max(1, _PANEL_BYTES // (8 * n))
         with np.errstate(over="ignore", invalid="ignore"):
-            m = gram(self.scale.phi_times_scale(self.phi, 0, min(width, p)))
+            b = self.scale.phi_times_scale(self.phi, 0, min(width, p))
+            m = b @ b.T
         for lo in range(width, p, width):
             with np.errstate(over="ignore", invalid="ignore"):
-                m += gram(self.scale.phi_times_scale(self.phi, lo, min(lo + width, p)))
+                b = self.scale.phi_times_scale(self.phi, lo, min(lo + width, p))
+                m += b @ b.T
         return factor_identity_plus(m)
 
     @functools.cached_property
@@ -358,15 +360,17 @@ def log_density(g: StructuredGaussian, x: np.ndarray) -> float:
     each later one a pass over Phi plus O(p).  It never
     returns NaN: where the value would be NaN, as for a NaN entry of x
     or for an infinite one whose terms cancel as inf - inf, it raises
-    ValueError.  An infinite x whose terms do not cancel gives -inf.
+    ValueError.  An infinite x whose terms do not cancel, or a finite one
+    whose quadratic form overflows, gives -inf with no warning.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (g.p,):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({g.p},)")
     log_det_prec = g._log_det_prec
-    phi_x = g.phi @ x
-    quad_x = float(np.dot(phi_x, phi_x)) + g.scale.inv_quad(x)
-    cross = float(np.dot(phi_x, g.alpha))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi_x = g.phi @ x
+        quad_x = float(np.dot(phi_x, phi_x)) + g.scale.inv_quad(x)
+        cross = float(np.dot(phi_x, g.alpha))
     # mu' Sigma^-1 mu = alpha' (I - M^-1) alpha for M = Phi D Phi' + I.
     quad_mu = float(np.dot(g.alpha, g.alpha) - np.dot(g.alpha, g._m_inv_alpha))
     quad = quad_x - 2.0 * cross + quad_mu

@@ -344,6 +344,12 @@ class TestFit:
         assert main(["fit", xp, yp, "--fixed-sigma", "inf",
                      "--out", str(tmp_path / "f")]) == 2
 
+    def test_overflowing_variance_exit_2(self, tmp_path, capsys):
+        xp = write(tmp_path / "x.csv", "1\n1\n1\n")
+        yp = write(tmp_path / "y.csv", "1e155\n-1e155\n1e155\n")
+        assert main(["fit", xp, yp, "--out", str(tmp_path / "f")]) == 2
+        assert "the variance of y overflows" in capsys.readouterr().err
+
     def test_non_ascii_input_exit_2(self, tmp_path, capsys):
         xp = write(tmp_path / "x.csv", "1\n1\n1\n")
         (tmp_path / "y.csv").write_bytes(b"1\n1\n\xff\n")

@@ -406,8 +406,9 @@ class TestSplitGram:
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
     def test_forked_child_starts_its_own_helper(self):
         # A child forked after the parent started its helper thread has
-        # the executor but not the thread; without the at-fork hook its
-        # first split K waits forever for the missing worker.
+        # the executor but not the thread; unless the child's own pid
+        # keys a new executor, its first split K waits forever for the
+        # missing worker.
         data, lam = wide_tau_input()
         parent = unchanged_tau_step(data, lam)
         assert horseshoe._helper_pool.cache_info().currsize == 1
@@ -710,6 +711,15 @@ class TestRunChain:
                            match=r"^iteration 1, block sigma2: sigma2 must be finite and positive$"):
             run_chain(self.small_data(), ChainConfig(n_iter=10, burn_in=1, seed=1))
 
+    def test_overflowing_q_names_block_sigma2(self):
+        # var(y) is 0 but |y|^2 is past 1e308, so q = z'z overflows in the
+        # tau step, silently, and the sigma^2 step rejects its inf draw.
+        data = RegressionData(np.random.default_rng(0).standard_normal((20, 10)),
+                              np.full(20, 1e155))
+        with pytest.raises(ValueError,
+                           match=r"^iteration 1, block sigma2: sigma2 must be finite and positive$"):
+            run_chain(data, ChainConfig(n_iter=10, burn_in=1, seed=1))
+
     def test_missing_special_functions_name_the_iteration_and_block(self, monkeypatch):
         # scipy.special is imported by the first sampled-sigma^2 step, the
         # tau target of iteration 1, so an import failure surfaces there.
@@ -791,6 +801,9 @@ class TestRunChain:
             RegressionData(np.ones(3), np.ones(3))
         with pytest.raises(DimensionMismatch, match="^x has 3 rows but y has length 4"):
             RegressionData(np.ones((3, 2)), np.ones(4))
+        y = np.random.default_rng(0).standard_normal(20) * 1e155  # finite; y^2 is not
+        with pytest.raises(ValueError, match="^the variance of y overflows: rescale y$"):
+            RegressionData(np.ones((20, 2)), y)
 
 
 # Runs in a fresh interpreter.  After each entry point it records

@@ -7,7 +7,7 @@ from fastmvg import (
     solve_lower,
     solve_spd,
 )
-from fastmvg.linalg import _check_info, cholesky, gram
+from fastmvg.linalg import _check_info, cholesky
 
 from conftest import gauss_solve
 
@@ -98,23 +98,11 @@ class TestCholesky:
         with pytest.raises(DimensionMismatch):
             cholesky(np.zeros((0, 0)))
 
-
-class TestSyrk:
-    """``gram``, which numpy's matmul runs as one BLAS SYRK."""
-
-    @pytest.mark.parametrize("n, p", [(6, 15), (15, 6), (1, 7), (7, 1), (1, 1)])
-    def test_upper_triangle_matches_naive_products(self, n, p):
-        b = np.random.default_rng(n * 31 + p).standard_normal((n, p))
-        expected = np.array([[sum(b[i, k] * b[j, k] for k in range(p)) for j in range(n)]
-                             for i in range(n)])
-        m = gram(b)
-        np.testing.assert_allclose(np.triu(m), np.triu(expected), rtol=1e-13)
-        np.testing.assert_array_equal(m, m.T)  # both triangles, the same bits
-
     def test_factored_in_place_as_cholesky_reads_it(self):
-        # gram gives a new C-ordered array, which cholesky factors without a copy.
+        # b @ b.T, as every caller forms B B', is a new C-ordered array,
+        # which cholesky factors without a copy.
         b = np.random.default_rng(9).standard_normal((8, 20))
-        m = gram(b)
+        m = b @ b.T
         m.flat[:: 9] += 1.0
         f = cholesky(m)
         assert np.shares_memory(f.lower, m)

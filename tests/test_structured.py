@@ -324,13 +324,19 @@ class TestLogDensity:
         g = random_instance(84, n=3, p=8, dense=dense)
         x = np.zeros(g.p)
         x[2] = bad
-        with np.errstate(invalid="ignore"):  # inf - inf inside Phi x or a dot
-            try:
-                value = log_density(g, x)
-            except ValueError as exc:
-                assert "NaN" in str(exc)
-                return
+        try:
+            value = log_density(g, x)
+        except ValueError as exc:
+            assert "NaN" in str(exc)
+            return
         assert not np.isnan(bad) and value == -np.inf
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_overflowing_finite_x_gives_minus_inf(self, dense):
+        # Phi x is finite, but (Phi x)'(Phi x) and x' D^-1 x overflow.
+        scale = DenseSpdScale(np.eye(3)) if dense else DiagonalScale(np.ones(3))
+        g = StructuredGaussian(np.ones((2, 3)), scale, np.ones(2))
+        assert log_density(g, np.full(3, 1e200)) == -np.inf
 
 
 class TestKeptFactor:
