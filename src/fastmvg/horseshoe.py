@@ -18,9 +18,9 @@ Orenstein & Bhattacharya (JMLR 2020):
     xi = tau^-2         random-walk Metropolis on log xi, with beta and
                         sigma^2 integrated out of its target
     sigma^2 | xi        truncated inverse gamma, beta integrated out
-    beta | xi, sigma^2  sigma times a structured-Gaussian fast-sampler
-                        draw with phi = X, D = tau^2 diag(lambda^2),
-                        alpha = y/sigma
+    beta | xi, sigma^2  sigma times an augmented draw
+                        (structured.augmented_draw) with phi = X,
+                        D = tau^2 diag(lambda^2), alpha = y/sigma
 
 All three read the n x n system M = I + tau^2 X Lambda^2 X'.  Its
 factor gives log |M| and q = y' M^-1 y for the xi target and the
@@ -35,12 +35,13 @@ pays only while a core is idle: a large chain uses two threads, and
 chains run in parallel should be counted at two cores each.
 M is added to the identity and factored by
 ``structured.factor_identity_plus``, the function that builds every
-structured Gaussian's system, and ``update_beta`` takes the accepted
-factor as a required argument: the beta draw builds no system.
+structured Gaussian's system, and ``update_beta`` draws on the accepted
+factor with ``structured.augmented_draw``: it builds no system.
 
 The four updates take plain arrays and scalars; run_chain holds the
 state as locals.  A zero, infinite or NaN lambda or tau fails in the
-block that next reads it (tau or beta); update_sigma2 checks its draw.
+block that next reads it (tau or beta); update_sigma2 and update_beta
+check their draws.
 
 scipy.special, which only the sampled-sigma^2 steps use, is imported
 inside _log_sigma2_integral and update_sigma2, not with this module: a
@@ -63,7 +64,9 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch
 from .linalg import SpdFactor, solve_lower
 from .rng import RngStream
-from .structured import DiagonalScale, StructuredGaussian, factor_identity_plus, fast_sample
+from .structured import DiagonalScale, augmented_draw, factor_identity_plus
+# perfbench/tracing.py wraps these two by name; the chain calls neither.
+from .structured import StructuredGaussian, fast_sample  # noqa: F401
 
 # Below this value of rate * bound, the truncated exponential is
 # indistinguishable from its small-argument uniform limit.
@@ -193,8 +196,8 @@ class TauDraw(NamedTuple):
     """What update_tau returns.
 
     factor is the Cholesky factor of M = I + tau^2 X Lambda^2 X' at the
-    returned tau, and q = y' M^-1 y; the sigma^2 and beta draws of the
-    same block read them.
+    returned tau, and q = y' M^-1 y; the sigma^2 draw reads q, and the
+    beta draw of the same block solves against factor.
     """
 
     tau: float
@@ -373,19 +376,24 @@ def update_beta(data: RegressionData, lam: np.ndarray, tau: float, sigma2: float
     """Exact draw from beta | y, lambda, tau, sigma.
 
     The conditional is N(A^-1 X' y, sigma^2 A^-1) with
-    A = X' X + Lambda*^-1, Lambda* = tau^2 diag(lambda^2): sigma times a
-    draw from the structured Gaussian phi = X, D = Lambda*,
+    A = X' X + Lambda*^-1, Lambda* = tau^2 diag(lambda^2): sigma times an
+    augmented draw (structured.augmented_draw) with phi = X, D = Lambda*,
     alpha = y/sigma, whose mean is A^-1 X' y / sigma and covariance
     A^-1.  sigma cancels from the n x n system M = X Lambda* X' + I, and
     X is used as it is, with no n x p copy.  ``factor`` is the factor of
     that M, as update_tau returns it; the draw builds no n x n system
     of its own, and that ``factor`` matches (lam, tau) is the caller's
-    promise.
+    promise.  A draw whose largest beta_j^2 / (2 tau^2 sigma^2), which
+    the next lambda step forms, overflows or is NaN raises ValueError.
     """
     sigma = math.sqrt(sigma2)
-    d = tau**2 * (lam * lam)
-    g = StructuredGaussian(data.x, DiagonalScale(d), data.y / sigma, factor)
-    return sigma * fast_sample(g, rng).theta
+    scale = DiagonalScale(tau**2 * (lam * lam))
+    beta = sigma * augmented_draw(data.x, scale, data.y / sigma, factor, rng).theta
+    b = float(np.max(np.abs(beta)))
+    denom = 2.0 * tau**2 * sigma2  # update_lambda's; these float ops overflow to inf
+    if not (denom > 0.0 and b * b / denom < math.inf):
+        raise ValueError("beta_j^2 / (2 tau^2 sigma^2) overflows or is NaN")
+    return beta
 
 
 def _summarize(draws: np.ndarray) -> IntervalSummary:

@@ -27,7 +27,9 @@ transient memory is n x panel + n^2 doubles, whatever p is.  Step (iv)
 forms D (Phi' w) as D times w' Phi, so no step holds an n x p array
 beyond ``phi``.
 No kept array is returned to a caller.  The instance's arrays must
-not be mutated after construction.
+not be mutated after construction.  ``augmented_draw`` runs steps
+(i)-(iv) on a given factor: ``fast_sample`` passes an instance's own,
+and the horseshoe chain the one that its global-scale step built.
 
 ``baseline_sample`` draws from the same distribution by forming the
 p x p precision matrix and factoring it at every call, which is the
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -208,20 +210,13 @@ class StructuredGaussian:
     the kept values would no longer match them.  A changed D needs a
     new instance (``dataclasses.replace`` gives one that keeps nothing;
     it shares the scale, which keeps its own log |D| and D^{1/2}).
-
-    ``_factor`` is private: a caller that has already factored
-    M = Phi D Phi' + I_n (the horseshoe chain's global-scale step does)
-    passes that factor so the instance does not build it again.  Only
-    its order is checked; that it factors this instance's M is the
-    caller's promise.
     """
 
     phi: np.ndarray
     scale: ScaleStructure
     alpha: np.ndarray
-    _factor: InitVar[SpdFactor | None] = None
 
-    def __post_init__(self, _factor):
+    def __post_init__(self):
         phi = np.ascontiguousarray(self.phi, dtype=float)
         alpha = np.asarray(self.alpha, dtype=float)
         if phi.ndim != 2:
@@ -243,10 +238,6 @@ class StructuredGaussian:
             raise ValueError("alpha entries must be finite")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "alpha", alpha)
-        if _factor is not None:
-            if _factor.dim != n:
-                raise DimensionMismatch(f"factor order {_factor.dim} does not match phi rows {n}")
-            self.__dict__["_coupling"] = _factor
 
     @property
     def n(self) -> int:
@@ -285,7 +276,7 @@ class StructuredGaussian:
 
 @dataclass(frozen=True)
 class AugmentedDraw:
-    """One fast_sample draw with all intermediates retained.
+    """One augmented draw with all intermediates retained.
 
     theta is the sample from N(mu, Sigma); u, delta, v, w are the
     augmentation variables, kept because the joint of (u, v) carries
@@ -299,8 +290,23 @@ class AugmentedDraw:
     theta: np.ndarray
 
 
+def augmented_draw(phi: np.ndarray, scale: ScaleStructure, alpha: np.ndarray,
+                   factor: SpdFactor, rng: RngStream) -> AugmentedDraw:
+    """Steps (i)-(iv) of the module docstring, O(np + n^2) for diagonal D.
+
+    ``factor`` must be the Cholesky factor of M = Phi D Phi' + I_n for
+    this ``phi`` and ``scale``; nothing here checks it.
+    """
+    u = scale.sample_zero_mean(rng)
+    delta = rng.standard_normal(phi.shape[0])
+    v = phi @ u + delta
+    w = solve_spd(factor, alpha - v)
+    theta = u + scale.matvec(w @ phi)
+    return AugmentedDraw(u=u, delta=delta, v=v, w=w, theta=theta)
+
+
 def fast_sample(g: StructuredGaussian, rng: RngStream) -> AugmentedDraw:
-    """One exact draw from N(mu, Sigma) via the n x n augmented system.
+    """One exact draw from N(mu, Sigma): ``augmented_draw`` on g's factor.
 
     Consumes p standard normals for u, then n for delta.  The first draw
     (or mean, or density) on an instance builds its n x n system, whose
@@ -317,13 +323,7 @@ def fast_sample(g: StructuredGaussian, rng: RngStream) -> AugmentedDraw:
     huge D that far, ``baseline_sample``, which factors the p x p
     precision, does not cancel (ROADMAP item 6).
     """
-    factor = g._coupling
-    u = g.scale.sample_zero_mean(rng)
-    delta = rng.standard_normal(g.n)
-    v = g.phi @ u + delta
-    w = solve_spd(factor, g.alpha - v)
-    theta = u + g.scale.matvec(w @ g.phi)
-    return AugmentedDraw(u=u, delta=delta, v=v, w=w, theta=theta)
+    return augmented_draw(g.phi, g.scale, g.alpha, g._coupling, rng)
 
 
 def posterior_mean(g: StructuredGaussian) -> np.ndarray:

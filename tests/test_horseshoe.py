@@ -720,6 +720,80 @@ class TestRunChain:
                            match=r"^iteration 1, block sigma2: sigma2 must be finite and positive$"):
             run_chain(data, ChainConfig(n_iter=10, burn_in=1, seed=1))
 
+    @pytest.mark.parametrize("action", ["error", "default"])
+    @pytest.mark.parametrize("y, fixed_sigma", [
+        (np.full(20, 1e155), 2.0),
+        (1e150 * np.random.default_rng(1).standard_normal(20), 1e-300),
+    ], ids=["large_y", "tiny_sigma2"])
+    def test_overflowing_beta_ratio_names_block_beta(self, y, fixed_sigma, action):
+        # The first beta draw is so large that the next lambda step's
+        # beta_j^2 / (2 tau^2 sigma^2) would overflow, with a warning; the
+        # beta step refuses the draw instead, and nothing warns.
+        data = RegressionData(np.random.default_rng(0).standard_normal((20, 10)), y)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            with pytest.raises(ValueError, match=r"^iteration 1, block beta: "):
+                run_chain(data, ChainConfig(n_iter=10, burn_in=1, fixed_sigma=fixed_sigma))
+        assert caught == []
+
+    def test_zero_local_scale_fails_in_block_beta(self, monkeypatch):
+        # lambda = 0 gives K = 0, which the tau step factors as M = I; the
+        # beta step's DiagonalScale is what rejects the zero prior scale.
+        real = horseshoe.update_lambda
+        calls = []
+
+        def zero_from_the_second(beta, lam, tau, sigma2, rng):
+            calls.append(None)
+            new = real(beta, lam, tau, sigma2, rng)
+            return new if len(calls) == 1 else np.zeros_like(new)
+
+        monkeypatch.setattr(horseshoe, "update_lambda", zero_from_the_second)
+        with pytest.raises(ValueError, match=r"^iteration 2, block beta: diagonal scale "
+                                             r"entries must be finite and positive$"):
+            run_chain(self.small_data(), ChainConfig(n_iter=10, burn_in=1, seed=1))
+
+    def test_chain_builds_no_structured_gaussian(self, monkeypatch):
+        # The beta draw goes through structured.augmented_draw on the tau
+        # step's factor: the names the benchmark tracer wraps are not called.
+        data = self.small_data()
+        cfg = ChainConfig(n_iter=20, burn_in=0, seed=5)
+        want = run_chain(data, cfg)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the chain called a traced structured name")
+
+        monkeypatch.setattr(horseshoe, "StructuredGaussian", refuse)
+        monkeypatch.setattr(horseshoe, "fast_sample", refuse)
+        got = run_chain(data, cfg)
+        np.testing.assert_array_equal(got.draws, want.draws)
+        np.testing.assert_array_equal(got.scale_draws, want.scale_draws)
+
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("fixed_sigma", [None, 1.5])
+    def test_errstate_entries_per_iteration(self, monkeypatch, split, fixed_sigma):
+        # An np.errstate entry costs about 1 us, a visible share of a small
+        # chain's iteration: 3 per iteration below _SPLIT_ENTRIES entries
+        # of X (one K, two K/xi targets), 5 from there on (two halves and
+        # their sum).
+        data = wide_tau_input()[0] if split else self.small_data()
+        entries, marks = [], []
+
+        class CountingErrstate(np.errstate):
+            def __enter__(self):
+                entries.append(None)
+                return super().__enter__()
+
+        real = horseshoe.update_lambda
+
+        def marking(*args):
+            marks.append(len(entries))
+            return real(*args)
+
+        monkeypatch.setattr(np, "errstate", CountingErrstate)
+        monkeypatch.setattr(horseshoe, "update_lambda", marking)
+        run_chain(data, ChainConfig(n_iter=4, burn_in=0, seed=2, fixed_sigma=fixed_sigma))
+        assert np.diff(marks).tolist() == [5 if split else 3] * 3
+
     def test_missing_special_functions_name_the_iteration_and_block(self, monkeypatch):
         # scipy.special is imported by the first sampled-sigma^2 step, the
         # tau target of iteration 1, so an import failure surfaces there.

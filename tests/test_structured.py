@@ -434,14 +434,12 @@ class TestKeptFactor:
         np.testing.assert_array_equal(draw.delta, delta)
         np.testing.assert_allclose(draw.theta, woodbury_theta(g, draw.u, delta), rtol=1e-10)
 
-    def test_supplied_factor_is_used_and_not_copied_by_replace(self, monkeypatch):
-        # A factor passed at construction is the one every draw solves
-        # against: no factorization runs, and the draw equals one on an
-        # instance that built the same factor itself.  replace() gives
-        # an instance without it, and a factor of the wrong order raises.
-        g = random_instance(88, n=4, p=9)
-        m = g.phi @ np.diag(g.scale.d) @ g.phi.T + np.eye(4)
-        supplied = StructuredGaussian(g.phi, g.scale, g.alpha, cholesky(m))
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_augmented_draw_on_the_kept_factor_is_fast_sample(self, dense, monkeypatch):
+        # augmented_draw on an instance's own factor is fast_sample, bit
+        # for bit, and factors nothing.  An instance takes no factor.
+        g = random_instance(88, n=4, p=9, dense=dense)
+        factor = g._coupling
         calls = []
         real = structured.cholesky
 
@@ -450,14 +448,13 @@ class TestKeptFactor:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(structured, "cholesky", counting)
-        got = fast_sample(supplied, RngStream(6, 0)).theta
+        got = structured.augmented_draw(g.phi, g.scale, g.alpha, factor, RngStream(6, 0))
+        want = fast_sample(g, RngStream(6, 0))
+        for name in ("u", "delta", "v", "w", "theta"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
         assert calls == []
-        np.testing.assert_allclose(got, fast_sample(g, RngStream(6, 0)).theta, rtol=1e-12)
-        assert calls == [(4, 4)]
-        posterior_mean(replace(supplied))
-        assert calls == [(4, 4), (4, 4)]
-        with pytest.raises(DimensionMismatch):
-            StructuredGaussian(g.phi, g.scale, g.alpha, cholesky(np.eye(3)))
+        with pytest.raises(TypeError):
+            StructuredGaussian(g.phi, g.scale, g.alpha, factor)
 
     def test_every_factor_handed_out_is_triangular(self):
         # A factor is read as a full matrix (L @ z, Phi @ L), so its strict
