@@ -35,13 +35,13 @@ pays only while a core is idle: a large chain uses two threads, and
 chains run in parallel should be counted at two cores each.
 M is added to the identity and factored by
 ``structured.factor_identity_plus``, the function that builds every
-structured Gaussian's system, and ``update_beta`` draws on the accepted
-factor with ``structured.augmented_draw``: it builds no system.
+structured Gaussian's system, and ``update_beta`` draws on the TauDraw
+that holds the accepted factor and its (lam, tau): it builds no system.
 
-The four updates take plain arrays and scalars; run_chain holds the
-state as locals.  A zero, infinite or NaN lambda or tau fails in the
-block that next reads it (tau or beta); update_sigma2 and update_beta
-check their draws.
+update_beta takes update_tau's TauDraw, the others plain arrays and
+scalars; run_chain holds the state as locals.  A zero, infinite or NaN
+lambda or tau fails in the block that next reads it (tau or beta);
+update_sigma2 and update_beta check their draws.
 
 scipy.special, which only the sampled-sigma^2 steps use, is imported
 inside _log_sigma2_integral and update_sigma2, not with this module: a
@@ -193,17 +193,18 @@ class ChainResult:
 
 
 class TauDraw(NamedTuple):
-    """What update_tau returns.
+    """What update_tau returns, and what update_beta draws from.
 
-    factor is the Cholesky factor of M = I + tau^2 X Lambda^2 X' at the
-    returned tau, and q = y' M^-1 y; the sigma^2 draw reads q, and the
-    beta draw of the same block solves against factor.
+    factor is the Cholesky factor of M = I + tau^2 X Lambda^2 X' at tau
+    and lam (the array update_tau was given, not a copy); q = y' M^-1 y.
+    That match in a hand-built TauDraw is the caller's responsibility.
     """
 
     tau: float
     accepted: bool
     factor: SpdFactor
     q: float
+    lam: np.ndarray
 
 
 def update_lambda(beta: np.ndarray, lam: np.ndarray, tau: float, sigma2: float,
@@ -342,8 +343,8 @@ def update_tau(data: RegressionData, lam: np.ndarray, tau: float, rng: RngStream
     s_new = s + _LOG_XI_STEP * float(rng.standard_normal(1)[0])
     proposed, factor_new, q_new = _log_xi_target(k, data, s_new, fixed_sigma2)
     if math.log(rng.uniform()) < proposed - current:
-        return TauDraw(math.exp(-0.5 * s_new), True, factor_new, q_new)
-    return TauDraw(tau, False, factor, q)
+        return TauDraw(math.exp(-0.5 * s_new), True, factor_new, q_new, lam)
+    return TauDraw(tau, False, factor, q, lam)
 
 
 def update_sigma2(q: float, data: RegressionData, rng: RngStream) -> float:
@@ -371,24 +372,23 @@ def update_sigma2(q: float, data: RegressionData, rng: RngStream) -> float:
     return sigma2
 
 
-def update_beta(data: RegressionData, lam: np.ndarray, tau: float, sigma2: float,
-                rng: RngStream, factor: SpdFactor) -> np.ndarray:
-    """Exact draw from beta | y, lambda, tau, sigma.
+def update_beta(data: RegressionData, step: TauDraw, sigma2: float,
+                rng: RngStream) -> np.ndarray:
+    """Exact draw from beta | y, lambda, tau, sigma at step's (lam, tau).
 
     The conditional is N(A^-1 X' y, sigma^2 A^-1) with
     A = X' X + Lambda*^-1, Lambda* = tau^2 diag(lambda^2): sigma times an
     augmented draw (structured.augmented_draw) with phi = X, D = Lambda*,
     alpha = y/sigma, whose mean is A^-1 X' y / sigma and covariance
-    A^-1.  sigma cancels from the n x n system M = X Lambda* X' + I, and
-    X is used as it is, with no n x p copy.  ``factor`` is the factor of
-    that M, as update_tau returns it; the draw builds no n x n system
-    of its own, and that ``factor`` matches (lam, tau) is the caller's
-    promise.  A draw whose largest beta_j^2 / (2 tau^2 sigma^2), which
-    the next lambda step forms, overflows or is NaN raises ValueError.
+    A^-1.  sigma cancels from M = X Lambda* X' + I, whose step.factor the
+    draw solves against; X is used as it is, with no n x p copy.  A draw
+    whose largest beta_j^2 / (2 tau^2 sigma^2), which the next lambda
+    step forms, overflows or is NaN raises ValueError.
     """
+    tau, lam = step.tau, step.lam
     sigma = math.sqrt(sigma2)
     scale = DiagonalScale(tau**2 * (lam * lam))
-    beta = sigma * augmented_draw(data.x, scale, data.y / sigma, factor, rng).theta
+    beta = sigma * augmented_draw(data.x, scale, data.y / sigma, step.factor, rng).theta
     b = float(np.max(np.abs(beta)))
     denom = 2.0 * tau**2 * sigma2  # update_lambda's; these float ops overflow to inf
     if not (denom > 0.0 and b * b / denom < math.inf):
@@ -454,7 +454,7 @@ def run_chain(data: RegressionData, cfg: ChainConfig) -> ChainResult:
             if cfg.fixed_sigma is None:
                 sigma2 = update_sigma2(step.q, data, rng)
             block = "beta"
-            beta = update_beta(data, lam, tau, sigma2, rng, step.factor)
+            beta = update_beta(data, step, sigma2, rng)
         except Exception as exc:
             for cls in type(exc).__mro__:  # the nearest class that takes one message
                 try:

@@ -7,11 +7,24 @@ library against these, never against itself.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
+from scipy.special import ndtr
+from scipy.stats import kstest
 
-from fastmvg import DenseSpdScale, DiagonalScale, RngStream, StructuredGaussian
+from fastmvg import (
+    DenseSpdScale,
+    DiagonalScale,
+    RegressionData,
+    RngStream,
+    StructuredGaussian,
+    update_beta,
+    update_lambda,
+    update_tau,
+)
 
 
 class QueuedStream:
@@ -235,3 +248,55 @@ class OneColumnXiTarget:
             accept_prob=lambda xi: (np.sqrt((1.0 + xi) / (xi + self.c)) / bound
                                     * np.exp(self.log_m(self.q(xi)) - self.log_m(self.q_min))),
         )
+
+
+def chain_iteration(data, beta, lam, tau, sigma2, rng, handoff=None):
+    """One iteration of run_chain's loop with sigma^2 held at sigma2:
+    update_lambda, update_tau, update_beta.  Returns (beta, lam, tau).
+
+    handoff, if given, maps (data, tau before the step, step) to the
+    TauDraw that update_beta receives; it plants a bug in the hand-off.
+    """
+    lam = update_lambda(beta, lam, tau, sigma2, rng)
+    step = update_tau(data, lam, tau, rng, sigma2)
+    if handoff is not None:
+        step = handoff(data, tau, step)
+    return update_beta(data, step, sigma2, rng), lam, step.tau
+
+
+def geweke_final_states(x, sigma2, chains, sweeps, seed, handoff=None):
+    """Final (tau, lambda_0, beta_0) of independent successive-conditional
+    chains (Geweke, "Getting it right", JASA 2004), one row per chain.
+
+    Each chain draws (beta, lambda, tau) from the prior, then repeats
+    ``sweeps`` times: draw y | beta = N(X beta, sigma2 I), then run one
+    chain_iteration given y.  A kernel that leaves every posterior
+    invariant leaves the prior invariant, so each final state is an
+    exact prior draw.  Prior and response draws come from numpy's
+    generator at ``seed``, the kernel's from RngStream(seed, 1).
+    """
+    gen = np.random.default_rng(seed)
+    rng = RngStream(seed, stream_id=1)
+    n, p = x.shape
+    sigma = math.sqrt(sigma2)
+    out = np.empty((chains, 3))
+    for c in range(chains):
+        lam = np.abs(gen.standard_cauchy(p))
+        tau = abs(float(gen.standard_cauchy()))
+        beta = sigma * tau * lam * gen.standard_normal(p)
+        for _ in range(sweeps):
+            data = RegressionData(x, x @ beta + sigma * gen.standard_normal(n))
+            beta, lam, tau = chain_iteration(data, beta, lam, tau, sigma2, rng, handoff)
+        out[c] = tau, lam[0], beta[0]
+    return out
+
+
+def geweke_pvalues(states, sigma2):
+    """KS p-values of the prior PITs of geweke_final_states' columns:
+    (2/pi) atan for the half-Cauchy tau and lambda_0, and the normal CDF
+    for beta_0 / (sigma tau lambda_0)."""
+    tau, lam0, beta0 = states.T
+    pits = {"tau": (2.0 / np.pi) * np.arctan(tau),
+            "lambda_0": (2.0 / np.pi) * np.arctan(lam0),
+            "beta_0": ndtr(beta0 / (math.sqrt(sigma2) * tau * lam0))}
+    return {name: float(kstest(pit, "uniform").pvalue) for name, pit in pits.items()}

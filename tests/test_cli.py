@@ -1,4 +1,8 @@
 import errno
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -558,3 +562,34 @@ def test_empty_out_fails_before_work(command, tmp_path, unit_instance, monkeypat
     forbid_work(monkeypatch, work)
     assert main([*argv[:-1], ""]) == 2
     assert capsys.readouterr().err == "error: --out: cannot write: empty path\n"
+
+
+def run_module(*args, cwd):
+    """``python -m fastmvg ARGS`` in a fresh process, with this checkout's src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-W", "error", "-m", "fastmvg", *args],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestEntryPoints:
+    def test_module_help_exits_0(self, tmp_path):
+        proc = run_module("--help", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: ")
+
+    def test_module_fit_on_missing_file_exits_2(self, tmp_path):
+        proc = run_module("fit", "nope.csv", "nope_y.csv", "--out", "fit", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+
+    def test_unexpected_sample_error_is_raised(self, tmp_path, unit_instance, monkeypatch):
+        # Only NotPositiveDefinite maps to an exit code for sample; any
+        # other error is a fault of the program and propagates.
+        def failing(g, rng):
+            raise RuntimeError("planted")
+
+        monkeypatch.setattr(cli, "fast_sample", failing)
+        with pytest.raises(RuntimeError, match="^planted$"):
+            main(["sample", *unit_instance, "--out", str(tmp_path / "o.csv")])

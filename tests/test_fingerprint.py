@@ -31,3 +31,12 @@ def test_fingerprint_tool_prints_repeatable_digests(tmp_path):
     assert lines[:7] == lines[7:]
     assert all(re.fullmatch(r"[\w.]+ [0-9a-f]{64}", line) for line in lines)
     assert len({line.split()[0] for line in lines[:7]}) == 7
+
+
+def test_unknown_revision_exits_2():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "fingerprint.py"),
+                           "--against", "no-such-revision"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: cannot export revision 'no-such-revision'")

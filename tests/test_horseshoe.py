@@ -26,6 +26,7 @@ from fastmvg import (
     RegressionData,
     RngStream,
     StructuredGaussian,
+    TauDraw,
     run_chain,
     update_beta,
     update_lambda,
@@ -58,6 +59,11 @@ def beta_factor(data, lam, tau):
     return factor_identity_plus(dsyrk_gram(data.x * (tau * lam)))
 
 
+def beta_step(data, lam, tau):
+    """A TauDraw at (lam, tau) with beta_factor's factor; update_beta reads no q."""
+    return TauDraw(tau, True, beta_factor(data, lam, tau), math.nan, lam)
+
+
 class TestUpdateBeta:
     def test_zero_design_draws_from_prior(self):
         # X = 0 makes the conditional equal to the prior N(0, sigma^2 Lambda*):
@@ -67,8 +73,8 @@ class TestUpdateBeta:
         lam = np.array([0.5, 1.0, 2.0])
         z_p = np.array([1.0, -1.0, 2.0])
         z_n = np.zeros(n)
-        beta = update_beta(data, lam, 0.7, 4.0, QueuedStream(normals=[z_p, z_n]),
-                           beta_factor(data, lam, 0.7))
+        beta = update_beta(data, beta_step(data, lam, 0.7), 4.0,
+                           QueuedStream(normals=[z_p, z_n]))
         np.testing.assert_allclose(beta, 2.0 * 0.7 * lam * z_p, rtol=1e-12)
 
     def test_unit_instance_posterior_mean(self):
@@ -76,8 +82,7 @@ class TestUpdateBeta:
         # A = 1 + 1 = 2, so with u = delta = 0 the draw is the mean 1/2.
         data = RegressionData(np.array([[1.0], [0.0]]), np.array([1.0, 0.0]))
         stub = QueuedStream(normals=[np.zeros(1), np.zeros(2)])
-        beta = update_beta(data, np.ones(1), 1.0, 1.0, stub,
-                           beta_factor(data, np.ones(1), 1.0))
+        beta = update_beta(data, beta_step(data, np.ones(1), 1.0), 1.0, stub)
         np.testing.assert_allclose(beta, [0.5], rtol=1e-14)
 
     def test_moments_match_dense_conditional(self):
@@ -96,10 +101,10 @@ class TestUpdateBeta:
 
         n_draws = 100_000
         rng = RngStream(5, 0)
-        factor = beta_factor(data, lam, 0.8)
+        step = beta_step(data, lam, 0.8)
         draws = np.empty((n_draws, p))
         for i in range(n_draws):
-            draws[i] = update_beta(data, lam, 0.8, 1.5, rng, factor)
+            draws[i] = update_beta(data, step, 1.5, rng)
         oracle = mu + gen.standard_normal((n_draws, p)) @ chol.T
 
         var = np.diagonal(cov)
@@ -121,8 +126,8 @@ class TestUpdateBeta:
         sigma2, tau = 2.25, 0.7
         z_p, z_n = gen.standard_normal(p), gen.standard_normal(n)
         data = RegressionData(x, y)
-        beta = update_beta(data, lam, tau, sigma2, QueuedStream(normals=[z_p, z_n]),
-                           beta_factor(data, lam, tau))
+        beta = update_beta(data, beta_step(data, lam, tau), sigma2,
+                           QueuedStream(normals=[z_p, z_n]))
 
         sigma = np.sqrt(sigma2)
         d = sigma2 * tau**2 * lam**2
@@ -140,10 +145,26 @@ class TestUpdateBeta:
         step = update_tau(data, lam, 0.7, QueuedStream(normals=[[0.3]], uniforms=[0.5]))
         assert step.accepted
         z_p, z_n = gen.standard_normal(p), gen.standard_normal(n)
-        kept = update_beta(data, lam, step.tau, 2.25, QueuedStream(normals=[z_p, z_n]),
-                           step.factor)
-        fresh = update_beta(data, lam, step.tau, 2.25, QueuedStream(normals=[z_p, z_n]),
-                            beta_factor(data, lam, step.tau))
+        kept = update_beta(data, step, 2.25, QueuedStream(normals=[z_p, z_n]))
+        fresh = update_beta(data, beta_step(data, lam, step.tau), 2.25,
+                            QueuedStream(normals=[z_p, z_n]))
+        np.testing.assert_allclose(kept, fresh, rtol=1e-12, atol=1e-14)
+
+    def test_rejected_step_draws_at_its_pre_proposal_tau(self):
+        # A rejected step carries the factor at the tau it was given, and
+        # the lam array itself: the draw equals one on M at (lam, tau)
+        # factored afresh, not one at the proposed tau.
+        gen = np.random.default_rng(21)
+        n, p = 6, 15
+        data = RegressionData(gen.standard_normal((n, p)), gen.standard_normal(n))
+        lam = gen.uniform(0.2, 3.0, p)
+        step = update_tau(data, lam, 0.7, QueuedStream(normals=[[40.0]], uniforms=[0.5]))
+        assert not step.accepted and step.tau == 0.7
+        assert step.lam is lam
+        z_p, z_n = gen.standard_normal(p), gen.standard_normal(n)
+        kept = update_beta(data, step, 2.25, QueuedStream(normals=[z_p, z_n]))
+        fresh = update_beta(data, beta_step(data, step.lam, step.tau), 2.25,
+                            QueuedStream(normals=[z_p, z_n]))
         np.testing.assert_allclose(kept, fresh, rtol=1e-12, atol=1e-14)
 
     def test_allocates_at_most_one_n_by_p_temporary(self):
@@ -155,11 +176,11 @@ class TestUpdateBeta:
         data = RegressionData(gen.standard_normal((n, p)), gen.standard_normal(n))
         lam = gen.uniform(0.5, 2.0, p)
         rng = RngStream(6, 0)
-        factor = beta_factor(data, lam, 0.5)
-        update_beta(data, lam, 0.5, 2.0, rng, factor)
+        step = beta_step(data, lam, 0.5)
+        update_beta(data, step, 2.0, rng)
         tracemalloc.start()
         try:
-            update_beta(data, lam, 0.5, 2.0, rng, factor)
+            update_beta(data, step, 2.0, rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

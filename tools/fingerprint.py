@@ -1,8 +1,9 @@
 """Print one ``name sha256`` line per program output.
 
-Run from any directory, with no options:
+Run from any directory:
 
     python tools/fingerprint.py
+    python tools/fingerprint.py --against REV
 
 It imports ``fastmvg`` from this checkout's ``src`` and the benchmark's
 workloads from ``perfbench/workloads.py`` (read, never changed), and runs
@@ -19,10 +20,20 @@ two listings to see which outputs a change moved.  The outputs are:
 - the files written by ``fastmvg fit --save-draws``, ``fastmvg sample``
   and ``fastmvg simulate`` on small fixed inputs, in a temporary
   directory.
+
+With ``--against REV`` the tool exports the git revision REV of this
+checkout (``git archive``) into a temporary directory, copies this
+file into it so both trees are hashed by the same code, and runs
+itself on both.  It prints ``name parent change`` for each digest that
+differs and exits 1 if any does, 0 if none does; an unknown REV, or a
+tree whose run fails, exits 2 with a message.
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
+import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -102,7 +113,7 @@ def cli_outputs():
             yield f"cli.{name}", hashlib.sha256((t / name).read_bytes()).hexdigest()
 
 
-def main() -> None:
+def print_digests() -> None:
     with pinned_blas():
         for source in (chain_outputs("chain_wide"), chain_outputs("chain_narrow"),
                        request_outputs(), cli_outputs()):
@@ -110,5 +121,49 @@ def main() -> None:
                 print(name, sha, flush=True)
 
 
+def digests_of(tool: Path) -> dict[str, str] | None:
+    """Run ``tool`` with no options; its digests by name, or None if it fails."""
+    proc = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True)
+    if proc.returncode != 0:
+        print(f"error: {tool} exited {proc.returncode}:\n{proc.stderr}", file=sys.stderr)
+        return None
+    return dict(line.split() for line in proc.stdout.splitlines())
+
+
+def against(rev: str) -> int:
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                             capture_output=True)
+    if archive.returncode != 0:
+        print(f"error: cannot export revision {rev!r}: "
+              f"{archive.stderr.decode(errors='replace').strip()}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+        tool = Path(tmp) / "tools" / "fingerprint.py"
+        tool.parent.mkdir(exist_ok=True)
+        shutil.copyfile(__file__, tool)
+        parent = digests_of(tool)
+    change = digests_of(Path(__file__)) if parent is not None else None
+    if change is None:
+        return 2
+    names = sorted(parent.keys() | change.keys())
+    differ = [name for name in names if parent.get(name) != change.get(name)]
+    for name in differ:
+        print(name, parent.get(name, "-"), change.get(name, "-"))
+    print(f"{len(differ)} of {len(names)} digests differ", file=sys.stderr)
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Print one 'name sha256' line per output.")
+    parser.add_argument("--against", metavar="REV",
+                        help="compare with git revision REV of this checkout")
+    args = parser.parse_args(argv)
+    if args.against is not None:
+        return against(args.against)
+    print_digests()
+    return 0
+
+
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())
