@@ -139,7 +139,7 @@ def compute_metrics(result: ChainResult, beta0: np.ndarray, x: np.ndarray) -> Re
     beta0 = np.asarray(beta0, dtype=float)
     x = np.asarray(x, dtype=float)
     s = result.summaries
-    if s.mean.shape != beta0.shape or x.shape[1] != beta0.shape[0]:
+    if s.mean.shape != beta0.shape or x.ndim != 2 or x.shape[1] != beta0.shape[0]:
         raise DimensionMismatch("chain, beta0 and x dimensions do not agree")
 
     def errs(est: np.ndarray) -> tuple[float, float, float]:

@@ -51,6 +51,7 @@ first iteration.
 """
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 import operator
@@ -157,7 +158,11 @@ class ChainConfig:
             raise ConfigError("burn_in must satisfy 0 <= burn_in < n_iter")
         if self.thin < 1:
             raise ConfigError("thin must be >= 1")
-        if self.fixed_sigma is not None and not 0.0 < self.fixed_sigma < np.inf:
+        try:
+            bad = self.fixed_sigma is not None and not 0.0 < self.fixed_sigma < np.inf
+        except (TypeError, ValueError):  # as from a string or an array
+            bad = True
+        if bad:
             raise ConfigError("fixed_sigma (sigma^2) must be finite and positive")
         if self.n_kept < 1:
             raise ConfigError("no draws kept: lower thin or raise n_iter")
@@ -260,11 +265,11 @@ def _log_sigma2_integral(q: float, n: int, floor: float) -> float:
 
 def _log_xi_target(k: np.ndarray, data: RegressionData, s: float,
                    fixed_sigma2: float | None) -> tuple[float, SpdFactor, float]:
-    """update_tau's log target at log xi = s, the factor of M and q."""
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _half_gram
-        factor = factor_identity_plus(k * math.exp(-s))  # M = I + K/xi; cholesky rejects inf
-        z = solve_lower(factor, data.y)
-        q = float(np.dot(z, z))  # inf past 1e308, which update_sigma2 rejects
+    """update_tau's log target at log xi = s, the factor of M and q, under
+    update_tau's error state: an overflow in K/xi or q gives inf silently."""
+    factor = factor_identity_plus(k * math.exp(-s))  # M = I + K/xi; cholesky rejects inf
+    z = solve_lower(factor, data.y)
+    q = float(np.dot(z, z))  # update_sigma2 rejects an infinite q
     if fixed_sigma2 is None:
         log_m = _log_sigma2_integral(q, data.n, data.sigma2_floor)
     else:
@@ -285,11 +290,11 @@ def _helper_pool(pid: int) -> ThreadPoolExecutor:
 
 
 def _half_gram(x: np.ndarray, lam: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """B B' for B = X[:, lo:hi] diag(lam[lo:hi]); an overflow in either
-    product gives inf or NaN silently, on a helper thread too (see linalg)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        b = x[:, lo:hi] * lam[lo:hi]
-        return b @ b.T
+    """B B' for B = X[:, lo:hi] diag(lam[lo:hi]), under the caller's error
+    state: under update_tau's, an overflow in either product gives inf or
+    NaN silently, on the helper thread too (see linalg)."""
+    b = x[:, lo:hi] * lam[lo:hi]
+    return b @ b.T
 
 
 def _gram(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -298,21 +303,22 @@ def _gram(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
     Below _SPLIT_ENTRIES entries of x this is one ``b @ b.T``.  From there
     on the columns are split at c = p // 2, each half gives its own Gram
     matrix, and K is their sum.  The first half is built on one helper
-    thread while the calling thread builds the second.  For a given BLAS
+    thread, in a copy of the caller's context and so under its error
+    state, while the calling thread builds the second.  For a given BLAS
     thread count K depends on the size of x alone; the two paths differ
-    only in the last digits.
+    only in the last digits.  Enters no error state of its own.
     """
     n, p = x.shape
     if n * p < _SPLIT_ENTRIES:
         return _half_gram(x, lam, 0, p)
     c = p // 2
-    pending = _helper_pool(os.getpid()).submit(_half_gram, x, lam, 0, c)
+    pending = _helper_pool(os.getpid()).submit(
+        contextvars.copy_context().run, _half_gram, x, lam, 0, c)
     try:
         second = _half_gram(x, lam, c, p)
     finally:
         first = pending.result()  # no work outlives the call
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _half_gram
-        first += second
+    first += second
     return first
 
 
@@ -335,13 +341,17 @@ def update_tau(data: RegressionData, lam: np.ndarray, tau: float, rng: RngStream
     _SPLIT_ENTRIES entries of X, else two column halves, one of them on
     a helper thread.  The target at the current and at the proposed xi
     each cost one n x n Cholesky factorization and one triangular
-    solve.  Consumes one normal, then one uniform.
+    solve.  K and both targets run under the chain's one
+    ``np.errstate(over="ignore", invalid="ignore")`` per iteration: an
+    overflow in the n x n block reaches cholesky as inf or NaN, with no
+    warning.  Consumes one normal, then one uniform.
     """
-    k = _gram(data.x, lam)
     s = -2.0 * math.log(tau)
-    current, factor, q = _log_xi_target(k, data, s, fixed_sigma2)
-    s_new = s + _LOG_XI_STEP * float(rng.standard_normal(1)[0])
-    proposed, factor_new, q_new = _log_xi_target(k, data, s_new, fixed_sigma2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = _gram(data.x, lam)
+        current, factor, q = _log_xi_target(k, data, s, fixed_sigma2)
+        s_new = s + _LOG_XI_STEP * float(rng.standard_normal(1)[0])
+        proposed, factor_new, q_new = _log_xi_target(k, data, s_new, fixed_sigma2)
     if math.log(rng.uniform()) < proposed - current:
         return TauDraw(math.exp(-0.5 * s_new), True, factor_new, q_new, lam)
     return TauDraw(tau, False, factor, q, lam)
@@ -356,12 +366,16 @@ def update_sigma2(q: float, data: RegressionData, rng: RngStream) -> float:
     q/2) truncated to (0, 1/f], drawn by inverse CDF from one uniform u.
     When that gamma's mass below 1/f underflows, as at q = 0 (a zero
     response), the draw is the truncated gamma's q -> 0 limit, the
-    power law that gives sigma^2 = f u^(-2/n).  A draw that is not finite
-    and positive, as from an infinite q (|y|^2 past 1e308), raises
-    ValueError: the beta draw would pass it, as y / sigma is 0.
+    power law that gives sigma^2 = f u^(-2/n).  A NaN or negative q
+    raises ValueError, as it would otherwise reach that power law too.
+    A draw that is not finite and positive, as from an infinite q (|y|^2
+    past 1e308), raises ValueError: the beta draw would pass it, as
+    y / sigma is 0.
     """
     from scipy.special import gammainc, gammaincinv
 
+    if not q >= 0.0:
+        raise ValueError(f"q must be non-negative, got {q}")
     a = 0.5 * data.n
     f = data.sigma2_floor
     u = rng.uniform()

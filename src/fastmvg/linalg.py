@@ -14,11 +14,12 @@ triangle only, into an exactly lower-triangular factor.  It runs no
 symmetry scan and no pivot floor, but it is the one place that rejects
 a non-finite matrix: a non-positive, NaN or infinite pivot raises
 NotPositiveDefinite, at O(n) cost.  So a caller forms B and B B' under
-one ``np.errstate(over="ignore", invalid="ignore")``, in the thread
-that runs them (a worker thread does not inherit its caller's error
-state): an overflow then reaches ``cholesky`` as inf or NaN, with no
-warning.  A caller that holds a matrix from outside the package
-validates it first, as ``structured.DenseSpdScale`` does.
+one ``np.errstate(over="ignore", invalid="ignore")``, and a helper
+thread runs in a copy of its caller's context, which carries that error
+state (numpy 2.0 keeps it in a context variable): an overflow then
+reaches ``cholesky`` as inf or NaN, with no warning.  A caller that
+holds a matrix from outside the package validates it first, as
+``structured.DenseSpdScale`` does.
 """
 from __future__ import annotations
 

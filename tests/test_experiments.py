@@ -141,12 +141,12 @@ class TestComputeMetrics:
         assert m.signal_coverage == 1.0
         assert m.noise_coverage == pytest.approx(2.0 / 3.0)
 
-    @pytest.mark.parametrize("beta_width, x_width", [(5, 5), (4, 5)])
+    @pytest.mark.parametrize("beta_width, x_width", [(5, 5), (4, 5), (4, None)])
     def test_wrong_width_raises(self, beta_width, x_width):
-        # The chain has 4 coordinates; beta0, or else x, has 5.
+        # The chain has 4 coordinates; beta0, or else x, has 5, or x is 1-D.
+        x = np.zeros(4) if x_width is None else np.eye(3, x_width)
         with pytest.raises(DimensionMismatch, match="^chain, beta0 and x dimensions do not agree$"):
-            compute_metrics(summary_result(np.zeros(4)), np.zeros(beta_width),
-                            np.eye(3, x_width))
+            compute_metrics(summary_result(np.zeros(4)), np.zeros(beta_width), x)
 
 
 class TestRunReplicates:

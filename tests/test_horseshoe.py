@@ -418,9 +418,27 @@ class TestSplitGram:
                 update_tau(data, np.ones(100), 3.0, RngStream(0, 0))
 
     def test_halves_overflowing_only_in_their_sum(self):
-        # Each half's Gram matrix is finite; their sum is inf, silently.
-        k = horseshoe._gram(np.full((40, 2000), math.sqrt(1.2e305)), np.ones(2000))
+        # Each half's Gram matrix is finite; their sum is inf, silently
+        # under the caller's error state, which _gram enters none of.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                k = horseshoe._gram(np.full((40, 2000), math.sqrt(1.2e305)), np.ones(2000))
         assert np.isposinf(k).all()
+
+    def test_helper_thread_runs_under_the_callers_error_state(self):
+        # X * lam overflows in the first half only, the one the helper
+        # thread builds.  Outside any errstate its RuntimeWarning is raised
+        # under the "error" filter: the silence under update_tau comes
+        # from the caller's context, which the helper runs in a copy of.
+        x = np.ones((40, 2000))
+        x[:, :1000] = 1e307
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                horseshoe._gram(x, np.full(2000, 1e5))
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert np.isposinf(horseshoe._gram(x, np.full(2000, 1e5))[0, 0])
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="no fork on this platform")
@@ -539,6 +557,13 @@ class TestUpdateSigma2:
         data = RegressionData(np.zeros((3, 1)), np.array([2.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match="^sigma2 must be finite and positive$"):
             update_sigma2(math.inf, data, RngStream(53, 0))
+
+    @pytest.mark.parametrize("q", [math.nan, -1.0])
+    def test_nan_or_negative_q_raises(self, q):
+        # Either would reach the q = 0 power law and draw near the floor.
+        data = RegressionData(np.zeros((3, 1)), np.array([2.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="^q must be non-negative, got "):
+            update_sigma2(q, data, RngStream(53, 0))
 
     def test_sigma2_integral_limits(self):
         # The two forms of the integral agree where they meet (x = n/2),
@@ -793,9 +818,9 @@ class TestRunChain:
     @pytest.mark.parametrize("fixed_sigma", [None, 1.5])
     def test_errstate_entries_per_iteration(self, monkeypatch, split, fixed_sigma):
         # An np.errstate entry costs about 1 us, a visible share of a small
-        # chain's iteration: 3 per iteration below _SPLIT_ENTRIES entries
-        # of X (one K, two K/xi targets), 5 from there on (two halves and
-        # their sum).
+        # chain's iteration: update_tau enters one around K and both K/xi
+        # targets, on either side of _SPLIT_ENTRIES entries of X, and the
+        # split's helper thread inherits it.
         data = wide_tau_input()[0] if split else self.small_data()
         entries, marks = [], []
 
@@ -813,7 +838,7 @@ class TestRunChain:
         monkeypatch.setattr(np, "errstate", CountingErrstate)
         monkeypatch.setattr(horseshoe, "update_lambda", marking)
         run_chain(data, ChainConfig(n_iter=4, burn_in=0, seed=2, fixed_sigma=fixed_sigma))
-        assert np.diff(marks).tolist() == [5 if split else 3] * 3
+        assert np.diff(marks).tolist() == [1] * 3
 
     def test_missing_special_functions_name_the_iteration_and_block(self, monkeypatch):
         # scipy.special is imported by the first sampled-sigma^2 step, the
@@ -881,6 +906,9 @@ class TestRunChain:
             ChainConfig(n_iter=10, burn_in=5, thin=10)  # zero kept draws
         with pytest.raises(ConfigError):
             ChainConfig(fixed_sigma=np.inf)
+        for bad in ("1", np.ones(2)):
+            with pytest.raises(ConfigError, match=r"^fixed_sigma \(sigma\^2\) must be"):
+                ChainConfig(fixed_sigma=bad)
         for name, bad in (("n_iter", 1e4), ("burn_in", 10.0), ("thin", 2.5), ("seed", 1.5)):
             with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
                 ChainConfig(**{name: bad})
